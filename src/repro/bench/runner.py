@@ -83,7 +83,9 @@ class FigureResult:
 #: Recorded CPU-baseline measurements, keyed by everything they depend
 #: on: the platform with ``fastpath`` stripped (the flag only changes the
 #: RME engine), the buffer capacity, the scan kind, the packed table
-#: bytes, the query text, and the fetch column list. The direct and
+#: bytes, every field of the query (expressions by ``repr``: their
+#: ``__eq__`` is identity, so a rebuilt template would never hit), and
+#: the fetch column list. The direct and
 #: columnar paths contain no RME epochs, so the fast-forward layer cannot
 #: collapse them from inside; instead they are *recorded* the first time
 #: they run (at cycle level — any run populates the memo) and *replayed*
@@ -110,9 +112,7 @@ def _baseline_key(
         kind,
         table.name,
         table.raw_bytes(),
-        query.name,
-        query.sql,
-        query.select,
+        repr(query),
         tuple(columns) if columns is not None else None,
     )
 

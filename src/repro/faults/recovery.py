@@ -16,16 +16,22 @@ While OPEN, the serving loop routes the tenant's requests straight to the
 CPU row-scan fallback (or sheds them fast when no fallback is allowed)
 instead of burning engine retries on a descriptor that keeps faulting.
 
-In the relational-algebra IR this fallback is *visible in the plan*:
-when an unrecoverable ``FaultError`` escapes the RME and the policy's
-``cpu_fallback`` allows degradation, the
-:class:`~repro.query.processor.Processor` re-roots the fetch subtree
-onto the :data:`~repro.query.engines.DEGRADED` engine
-(:func:`~repro.query.processor.reroot_degraded`) — same semantics as
-the executor's historical fallback, but the executed tree recorded in
-:attr:`Processor.last_report` shows ``@degraded`` where the plan said
-``@rme``. With ``cpu_fallback=False`` the fault still propagates to the
-caller unchanged.
+The executor's CPU fallback is one contract, shared by the three engine
+runs that can fault — the RME scan, the PIM scan and the PIM join
+(``QueryExecutor._fault_fallback``). On an unrecoverable ``FaultError``
+it bumps ``rme_faults``/``pim_faults``, ``wasted_ns`` and
+``fault_<ErrorClass>``, drains the simulator's wreckage
+(``wreckage_drained``; the RME is also de-activated), re-raises unless
+the policy's ``cpu_fallback`` allows degradation, and bumps
+``cpu_fallbacks``; the run is then re-served by a CPU row scan with
+``state == "degraded"``. In the relational-algebra IR the fallback is
+*visible in the plan*: the :class:`~repro.query.processor.Processor`
+points every ``Transfer`` into the faulted engine at the
+:data:`~repro.query.engines.DEGRADED` engine
+(:func:`~repro.query.processor.reroot_degraded`), so the executed tree
+recorded in :attr:`Processor.last_report` shows ``@degraded`` where the
+plan said ``@rme`` or ``@pim``. With ``cpu_fallback=False`` the fault
+still propagates to the caller unchanged.
 """
 
 from __future__ import annotations

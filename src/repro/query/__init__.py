@@ -28,13 +28,7 @@ from .engines import (
     INDEX,
     PIM,
     RME,
-    ColumnarEngine,
-    CpuEngine,
-    DegradedEngine,
     Engine,
-    IndexEngine,
-    PimEngine,
-    RmeEngine,
     engine_by_name,
     engine_names,
 )
@@ -83,23 +77,18 @@ __all__ = [
     "COLUMNAR",
     "CPU",
     "Col",
-    "ColumnarEngine",
     "Const",
-    "CpuEngine",
     "DEGRADED",
-    "DegradedEngine",
     "ENGINES",
     "Engine",
     "ExecutionPlan",
     "ExecutionReport",
     "Expr",
     "INDEX",
-    "IndexEngine",
     "Join",
     "Label",
     "LeafRelation",
     "PIM",
-    "PimEngine",
     "Processor",
     "Projection",
     "Query",
@@ -109,7 +98,6 @@ __all__ = [
     "RME",
     "Relation",
     "RelationVisitor",
-    "RmeEngine",
     "Selection",
     "Transfer",
     "choose_access_path",

@@ -23,13 +23,15 @@ The reproduction ships five peer engines plus the fault-recovery one:
   subtree is re-rooted onto when an unrecoverable ``FaultError``
   escapes the RME or the PIM banks (see :mod:`repro.faults.recovery`).
 
-New backends slot in as further ``Engine`` subclasses registered in
-:data:`ENGINES`; the planner, the CLI's engine flags/usage errors and
-``--explain`` output pick them up through the same interface.
+An engine is a plain value — its ``@name`` tag plus the
+:class:`~repro.core.access_path.AccessPath` the executor prices it with —
+so a new backend is one more ``Engine(name, access_path)`` instance in
+:data:`ALL_ENGINES`; the planner, the CLI's engine flags/usage errors and
+``--explain`` output pick it up through the same registry.
 
 >>> CPU.name, RME.name
 ('cpu', 'rme')
->>> CPU == CpuEngine(), CPU == RME
+>>> CPU == Engine("cpu", AccessPath.DIRECT_ROW), CPU == RME
 (True, False)
 >>> RME.access_path.name
 'RME'
@@ -44,163 +46,31 @@ from ..core.access_path import AccessPath
 
 @dataclass(frozen=True)
 class Engine:
-    """Base engine identity: hashable, comparable by type.
+    """An engine identity: hashable, compared by value.
 
-    Subclasses define :attr:`name` (the ``@name`` tag in printed plans)
-    and :attr:`access_path` (the measured path the executor machinery
-    uses to price a scan served by this engine).
-
-    >>> Engine().name
-    Traceback (most recent call last):
-        ...
-    NotImplementedError: Engine subclasses define a name
+    ``name`` is the ``@name`` tag in printed plans; ``access_path`` is
+    the measured path the executor runs a scan served by this engine on.
+    Two engines may share an access path (``degraded`` reuses the CPU
+    row scan) and still be distinct identities.
     """
 
-    @property
-    def name(self) -> str:
-        """Short tag used in plan trees (``@cpu``, ``@rme``, ...)."""
-        raise NotImplementedError("Engine subclasses define a name")
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The :class:`~repro.core.access_path.AccessPath` this engine prices."""
-        raise NotImplementedError("Engine subclasses define an access path")
-
-    @property
-    def label(self) -> str:
-        """Human-readable description (the access path's label)."""
-        return self.access_path.label
+    name: str
+    access_path: AccessPath
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class CpuEngine(Engine):
-    """The CPU row-store scan: strided reads over the base table.
-
-    >>> CpuEngine().access_path.name
-    'DIRECT_ROW'
-    """
-
-    @property
-    def name(self) -> str:
-        """``cpu``."""
-        return "cpu"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """Direct row-store access."""
-        return AccessPath.DIRECT_ROW
-
-
-@dataclass(frozen=True)
-class RmeEngine(Engine):
-    """The Relational Memory Engine: on-the-fly column-group projection.
-
-    >>> RmeEngine().access_path.name
-    'RME'
-    """
-
-    @property
-    def name(self) -> str:
-        """``rme``."""
-        return "rme"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The ephemeral-variable path through the PL."""
-        return AccessPath.RME
-
-
-@dataclass(frozen=True)
-class ColumnarEngine(Engine):
-    """A maintained column-store copy scanned by the CPU.
-
-    >>> ColumnarEngine().access_path.name
-    'COLUMNAR'
-    """
-
-    @property
-    def name(self) -> str:
-        """``columnar``."""
-        return "columnar"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The materialised-copy path."""
-        return AccessPath.COLUMNAR
-
-
-@dataclass(frozen=True)
-class IndexEngine(Engine):
-    """A B+-tree probe serving only the rows a range predicate matches.
-
-    >>> IndexEngine().access_path.name
-    'INDEX'
-    """
-
-    @property
-    def name(self) -> str:
-        """``index``."""
-        return "index"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The B+-tree probe path."""
-        return AccessPath.INDEX
-
-
-@dataclass(frozen=True)
-class PimEngine(Engine):
-    """Bank-level processing-in-memory: filter/aggregate at the banks.
-
-    >>> PimEngine().access_path.name
-    'PIM'
-    """
-
-    @property
-    def name(self) -> str:
-        """``pim``."""
-        return "pim"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The in-bank pushdown path."""
-        return AccessPath.PIM
-
-
-@dataclass(frozen=True)
-class DegradedEngine(Engine):
-    """The CPU row scan as a fault-recovery fallback.
-
-    Semantically identical to :class:`CpuEngine` (same access path,
-    same answers); the distinct identity keeps re-rooted subtrees
-    visible in plans and reports — a ``@degraded`` tag means "the RME
-    faulted and the processor fell back", not "the planner chose rows".
-
-    >>> DegradedEngine().access_path.name
-    'DIRECT_ROW'
-    """
-
-    @property
-    def name(self) -> str:
-        """``degraded``."""
-        return "degraded"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The CPU row scan (staleness-free fallback)."""
-        return AccessPath.DIRECT_ROW
-
-
 #: The singleton engine instances used throughout the query layer.
-CPU = CpuEngine()
-RME = RmeEngine()
-COLUMNAR = ColumnarEngine()
-INDEX = IndexEngine()
-PIM = PimEngine()
-DEGRADED = DegradedEngine()
+CPU = Engine("cpu", AccessPath.DIRECT_ROW)
+RME = Engine("rme", AccessPath.RME)
+COLUMNAR = Engine("columnar", AccessPath.COLUMNAR)
+INDEX = Engine("index", AccessPath.INDEX)
+PIM = Engine("pim", AccessPath.PIM)
+#: The CPU row scan as a fault-recovery fallback: a ``@degraded`` tag
+#: means "the RME or the banks faulted and the processor fell back",
+#: not "the planner chose rows".
+DEGRADED = Engine("degraded", AccessPath.DIRECT_ROW)
 
 #: Every planner-eligible engine, in display order.
 ALL_ENGINES = (CPU, RME, COLUMNAR, INDEX, PIM)
@@ -219,6 +89,15 @@ def engine_names(planner_only: bool = True):
     """
     pool = ALL_ENGINES if planner_only else ALL_ENGINES + (DEGRADED,)
     return tuple(engine.name for engine in pool)
+
+
+def engine_for_path(path: AccessPath) -> Engine:
+    """The planner-eligible engine serving ``path`` (planner direction).
+
+    >>> engine_for_path(AccessPath.PIM) is PIM
+    True
+    """
+    return next(engine for engine in ALL_ENGINES if engine.access_path is path)
 
 
 def engine_by_name(name: str) -> Engine:

@@ -20,7 +20,7 @@ reflects the co-design's memory behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.access_path import AccessPath
 from ..core.ephemeral import EphemeralVariable
@@ -137,7 +137,12 @@ class QueryExecutor:
         var: EphemeralVariable,
         flush: bool = True,
     ) -> QueryResult:
-        """Scan through the ephemeral variable (cold or hot as it stands)."""
+        """Scan through the ephemeral variable (cold or hot as it stands).
+
+        An unrecoverable fault mid-scan follows :meth:`_fault_fallback`;
+        the answer came from the variable's visible versions, so the
+        degraded re-scan is staleness-free.
+        """
         needed = query.columns()
         missing = [c for c in needed if c not in var.group_schema]
         if missing:
@@ -146,41 +151,21 @@ class QueryExecutor:
             )
         self.system.activate(var)
         state = "hot" if var.is_hot else "cold"
-        value, selectivity, n_rows = self._answer(query, var.loaded, var)
+        answer = self._answer(query, var.loaded, var)
+        value, selectivity, n_rows = answer
         compute = query.row_compute_ns(selectivity)
         segments = var.scan_segment(compute, query.passes)
-        faults = self.system.faults
-        if faults is None:
-            elapsed = self._measure(segments, flush)
-            return self._result(query, AccessPath.RME, value, elapsed,
-                                n_rows, selectivity, state)
-        sim = self.system.sim
-        start_ns = sim.now
+        start_ns = self.system.sim.now
         try:
             elapsed = self._measure(segments, flush)
         except FaultError as error:
-            # The engine declared the access unrecoverable mid-scan. The
-            # simulated time already burnt stays on the bill; the answer
-            # is recomputed from the authoritative base table (same
-            # snapshot semantics — ``value`` came from the variable's
-            # visible versions, so degradation is staleness-free).
-            wasted = sim.now - start_ns
-            faults.stats.bump("rme_faults")
-            faults.stats.bump("wasted_ns", wasted)
-            faults.stats.bump(f"fault_{type(error).__name__}")
-            self._drain_fault_wreckage()
-            self.system.deactivate()
-            if not faults.recovery.cpu_fallback:
-                raise
-            faults.stats.bump("cpu_fallbacks")
-            rescan = self._direct_rescan_ns(query, var, selectivity)
-            return self._result(query, AccessPath.DIRECT_ROW, value,
-                                wasted + rescan, n_rows, selectivity,
-                                "degraded")
-        audited = self._audit_rme(query, var, value, selectivity, n_rows,
-                                  elapsed)
-        if audited is not None:
-            return audited
+            wasted = self.system.sim.now - start_ns
+            self._fault_fallback(error, "rme", wasted)
+            return self._degraded(query, var.loaded, answer, wasted)
+        if self.system.faults is not None:
+            audited = self._audit_rme(query, var, answer, elapsed)
+            if audited is not None:
+                return audited
         return self._result(query, AccessPath.RME, value, elapsed,
                             n_rows, selectivity, state)
 
@@ -193,35 +178,16 @@ class QueryExecutor:
         onto the in-bank accumulator; only the merged selection bitmap or
         an aggregate register line crosses the AXI boundary, plus — for
         projection queries — the CPU's point-gather of the matching rows.
-        The fault contract mirrors :meth:`run_rme`: an unrecoverable
-        in-bank fault keeps its wasted simulated time on the bill, and
-        (policy permitting) the answer is recomputed by a direct CPU
-        re-scan with state ``"degraded"``.
+        An unrecoverable in-bank fault follows :meth:`_fault_fallback`.
         """
-        from ..pim import BankPIM
-
-        if self._pim is None or self._pim.system is not self.system:
-            self._pim = BankPIM(self.system)
-        device = self._pim
-        if flush:
-            self.system.flush_caches()
-        self.system.reset_stats()
-        faults = self.system.faults
+        device = self._device()
+        self._reset(flush)
         try:
             execution = device.run(query, loaded)
         except FaultError as error:
-            faults.stats.bump("pim_faults")
-            faults.stats.bump("wasted_ns", device.last_wasted_ns)
-            faults.stats.bump(f"fault_{type(error).__name__}")
-            self._drain_fault_wreckage()
-            if not faults.recovery.cpu_fallback:
-                raise
-            faults.stats.bump("cpu_fallbacks")
-            value, selectivity, n_rows = self._answer(query, loaded)
-            rescan = self._fallback_rescan_ns(query, loaded, selectivity)
-            return self._result(query, AccessPath.DIRECT_ROW, value,
-                                device.last_wasted_ns + rescan, n_rows,
-                                selectivity, "degraded")
+            self._fault_fallback(error, "pim", device.last_wasted_ns)
+            return self._degraded(query, loaded, self._answer(query, loaded),
+                                  device.last_wasted_ns)
         return self._result(query, AccessPath.PIM, execution.value,
                             execution.elapsed_ns, execution.n_rows,
                             execution.selectivity, "-")
@@ -240,57 +206,26 @@ class QueryExecutor:
         Both sides filter at the banks, the smaller surviving side
         builds per-bank hash tables, the larger side probes them; only
         matched row-id pairs cross the AXI boundary before the CPU
-        gathers the joined rows. The fault contract mirrors
-        :meth:`run_pim`: an unrecoverable in-bank fault keeps its wasted
-        simulated time on the bill and (policy permitting) the join is
-        recomputed in software over two direct re-scans, with state
-        ``"degraded"``.
+        gathers the joined rows. An unrecoverable in-bank fault follows
+        :meth:`_fault_fallback`: the join is recomputed in software over
+        two direct re-scans, with state ``"degraded"``.
         """
-        from ..pim import BankPIM
-
-        if self._pim is None or self._pim.system is not self.system:
-            self._pim = BankPIM(self.system)
-        device = self._pim
-        if flush:
-            self.system.flush_caches()
-        self.system.reset_stats()
-        faults = self.system.faults
+        device = self._device()
+        self._reset(flush)
         try:
             execution = device.run_join(on, lhs_query, lhs_loaded,
                                         rhs_query, rhs_loaded)
         except FaultError as error:
-            faults.stats.bump("pim_faults")
-            faults.stats.bump("wasted_ns", device.last_wasted_ns)
-            faults.stats.bump(f"fault_{type(error).__name__}")
-            self._drain_fault_wreckage()
-            if not faults.recovery.cpu_fallback:
-                raise
-            faults.stats.bump("cpu_fallbacks")
-            elapsed = device.last_wasted_ns
-            sides: List[List[Dict[str, Any]]] = []
+            self._fault_fallback(error, "pim", device.last_wasted_ns)
+            elapsed, sides = device.last_wasted_ns, []
             for query, loaded in ((lhs_query, lhs_loaded),
                                   (rhs_query, rhs_loaded)):
-                kept = ops.filter_rows(
-                    self._rows(loaded, query.columns(), None), query.predicate
-                )
-                n = loaded.table.n_rows
-                elapsed += self._fallback_rescan_ns(
-                    query, loaded, len(kept) / n if n else 0.0
-                )
-                sides.append([{c: row[c] for c in query.select}
-                              for row in kept])
-            joined = ops.hash_join(sides[0], sides[1], on)
-            elapsed += (HASH_BUILD_NS * len(sides[0])
-                        + HASH_PROBE_NS * len(sides[1]))
-            return JoinScan(
-                rows=joined,
-                elapsed_ns=elapsed,
-                rows_scanned=(lhs_loaded.table.n_rows
-                              + rhs_loaded.table.n_rows),
-                rhs_rows=len(sides[1]),
-                path=AccessPath.DIRECT_ROW,
-                state="degraded",
-            )
+                value, selectivity, _ = self._answer(query, loaded)
+                elapsed += self._fallback_rescan_ns(query, loaded, selectivity)
+                sides.append(_row_dicts(query, value))
+            return _software_join(on, sides, elapsed,
+                                  lhs_loaded.table.n_rows
+                                  + rhs_loaded.table.n_rows, "degraded")
         return JoinScan(
             rows=execution.rows,
             elapsed_ns=execution.elapsed_ns,
@@ -404,19 +339,22 @@ class QueryExecutor:
         low, high, inclusive = bounds
         row_ids = index.range(low, high, inclusive)
 
-        # Functional answer over exactly the matched rows.
+        # Functional answer over exactly the matched rows. The tree holds
+        # physical row ids, so on an MVCC table only the versions visible
+        # at the snapshot qualify.
         columns = query.columns()
-        all_rows = self._rows(loaded, columns, None)
-        matched = [all_rows[i] for i in row_ids if i < len(all_rows)]
+        tuples = loaded.table.project_values(columns)
+        visible = (loaded.versioned.visibility_mask(loaded.current_ts())
+                   if loaded.versioned is not None else None)
+        matched = [dict(zip(columns, tuples[i])) for i in row_ids
+                   if i < len(tuples) and (visible is None or visible[i])]
         kept = ops.filter_rows(matched, query.predicate)  # residual filter
         value = self._finalize(query, kept)
         n_rows = loaded.table.n_rows
         selectivity = len(kept) / n_rows if n_rows else 0.0
 
         # Timing: root-to-leaf probe + leaf chain + one row touch per match.
-        if flush:
-            self.system.flush_caches()
-        self.system.reset_stats()
+        self._reset(flush)
         probe = loaded_index.probe_points(low if low is not None else high)
         leaves = loaded_index.leaf_points(low, high)
         offset, width = loaded.schema.covering_group(columns)
@@ -428,38 +366,87 @@ class QueryExecutor:
         elapsed += self.system.measure_points(
             fetches, query.work_cost_ns() + query.predicate_cost_ns()
         )
-        result = self._result(query, AccessPath.INDEX, value, elapsed,
-                              n_rows, selectivity, "-")
-        return result
+        return self._result(query, AccessPath.INDEX, value, elapsed,
+                            n_rows, selectivity, "-")
 
     def run(
         self,
         query: Query,
-        loaded: LoadedTable,
+        loaded: Optional[LoadedTable],
         path: AccessPath,
         var: Optional[EphemeralVariable] = None,
         columnar: Optional[LoadedColumnGroup] = None,
         index: Optional[LoadedIndex] = None,
         flush: bool = True,
     ) -> QueryResult:
-        """Dispatch on the access path."""
+        """The one scan dispatch: run ``query`` on ``path``.
+
+        Every binding a path needs is checked here — the ephemeral
+        ``var`` (RME), the ``loaded`` row table (every other path), the
+        ``columnar`` copy, the B+-tree ``index`` — and a missing one
+        raises :class:`~repro.errors.QueryError`.
+        """
+        if path is AccessPath.RME:
+            var = _bound(var, "the RME path needs an ephemeral variable "
+                              "(var=...)")
+            return self.run_rme(query, var, flush)
+        loaded = _bound(loaded, f"the {path.value} path needs a loaded "
+                                "table (loaded=...)")
         if path is AccessPath.DIRECT_ROW:
             return self.run_direct(query, loaded, flush)
         if path is AccessPath.COLUMNAR:
-            if columnar is None:
-                raise QueryError("columnar path requires a materialised copy")
+            columnar = _bound(columnar, "the columnar path needs a "
+                                        "materialised copy (columnar=...)")
             return self.run_columnar(query, loaded, columnar, flush)
-        if path is AccessPath.RME:
-            if var is None:
-                raise QueryError("RME path requires an ephemeral variable")
-            return self.run_rme(query, var, flush)
         if path is AccessPath.INDEX:
-            if index is None:
-                raise QueryError("index path requires a loaded index")
+            index = _bound(index, "the index path needs a loaded index "
+                                  "(index=...)")
             return self.run_index(query, loaded, index, flush)
         if path is AccessPath.PIM:
             return self.run_pim(query, loaded, flush)
         raise QueryError(f"unknown access path {path!r}")
+
+    def run_join(
+        self,
+        query: Query,
+        on: str,
+        sides: Sequence[Tuple[Query, Optional[LoadedTable]]],
+        path: AccessPath,
+        flush: bool = True,
+    ) -> QueryResult:
+        """The join dispatch: join two bound inputs on ``path``.
+
+        ``sides`` holds each input's ``(query, loaded)`` pair; ``query``
+        carries the operators above the Join — its predicate filters the
+        joined rows, its aggregate or select shapes the value. The CPU
+        hash-joins two measured row scans (:meth:`run_direct`); the PIM
+        engine runs :meth:`run_pim_join`. A missing table binding raises
+        :class:`~repro.errors.QueryError`.
+        """
+        (lhs_query, lhs_loaded), (rhs_query, rhs_loaded) = [
+            (side_query, _bound(loaded, f"the join's {name} input needs a "
+                                        "tables={leaf: loaded} binding"))
+            for name, (side_query, loaded) in zip(("lhs", "rhs"), sides)
+        ]
+        if path is AccessPath.PIM:
+            scan = self.run_pim_join(on, lhs_query, lhs_loaded, rhs_query,
+                                     rhs_loaded, flush)
+        elif path is AccessPath.DIRECT_ROW:
+            lhs = self.run_direct(lhs_query, lhs_loaded, flush)
+            rhs = self.run_direct(rhs_query, rhs_loaded, flush=False)
+            scan = _software_join(
+                on, [_row_dicts(lhs_query, lhs.value),
+                     _row_dicts(rhs_query, rhs.value)],
+                lhs.elapsed_ns + rhs.elapsed_ns,
+                lhs.rows_scanned + rhs.rows_scanned, "-")
+        else:
+            raise QueryError(f"joins execute on the CPU or in the banks, "
+                             f"not on the {path.value} path")
+        kept = ops.filter_rows(scan.rows, query.predicate)
+        selectivity = len(scan.rows) / scan.rhs_rows if scan.rhs_rows else 0.0
+        return self._result(query, scan.path, self._finalize(query, kept),
+                            scan.elapsed_ns, scan.rows_scanned, selectivity,
+                            scan.state)
 
     # -- functional evaluation -----------------------------------------------------
     def _answer(
@@ -513,6 +500,32 @@ class QueryExecutor:
         return rows
 
     # -- fault handling ------------------------------------------------------------
+    def _fault_fallback(self, error: FaultError, engine: str,
+                        wasted_ns: float) -> None:
+        """The one fault-fallback contract (RME scan, PIM scan, PIM join).
+
+        Called from the ``except FaultError`` of a measured run, it
+
+        1. bumps ``<engine>_faults``, ``wasted_ns`` and ``fault_<Error>``;
+        2. drains the wreckage (and, for the RME, de-activates the
+           engine so the next access reconfigures);
+        3. re-raises unless ``recovery.cpu_fallback`` is set;
+        4. bumps ``cpu_fallbacks``.
+
+        The caller then prices the CPU re-scan and marks the result
+        ``"degraded"``; the wasted simulated time stays on the bill.
+        """
+        faults = self.system.faults
+        faults.stats.bump(f"{engine}_faults")
+        faults.stats.bump("wasted_ns", wasted_ns)
+        faults.stats.bump(f"fault_{type(error).__name__}")
+        self._drain_fault_wreckage()
+        if engine == "rme":
+            self.system.deactivate()
+        if not faults.recovery.cpu_fallback:
+            raise error
+        faults.stats.bump("cpu_fallbacks")
+
     def _drain_fault_wreckage(self) -> None:
         """Run the simulator to empty after a fault escaped a measure.
 
@@ -528,9 +541,14 @@ class QueryExecutor:
                 continue
             return
 
-    def _direct_rescan_ns(self, query: Query, var: EphemeralVariable,
-                          selectivity: float) -> float:
-        return self._fallback_rescan_ns(query, var.loaded, selectivity)
+    def _degraded(self, query: Query, loaded: LoadedTable, answer,
+                  spent_ns: float) -> QueryResult:
+        """``answer`` re-served by the CPU: ``spent_ns`` plus a re-scan."""
+        value, selectivity, n_rows = answer
+        rescan = self._fallback_rescan_ns(query, loaded, selectivity)
+        return self._result(query, AccessPath.DIRECT_ROW, value,
+                            spent_ns + rescan, n_rows, selectivity,
+                            "degraded")
 
     def _fallback_rescan_ns(self, query: Query, loaded: LoadedTable,
                             selectivity: float) -> float:
@@ -547,7 +565,7 @@ class QueryExecutor:
         )
         return self._measure([segment] * query.passes, flush=False)
 
-    def _audit_rme(self, query, var, value, selectivity, n_rows, elapsed):
+    def _audit_rme(self, query, var, answer, elapsed):
         """End-to-end check of the packed projection after a clean scan.
 
         Catches corruption that slipped past ECC, descriptor CRC and
@@ -572,14 +590,12 @@ class QueryExecutor:
             # base table and make the next access reconfigure.
             faults.stats.bump("crc_catches")
             self.system.deactivate()
-            rescan = self._direct_rescan_ns(query, var, selectivity)
-            return self._result(query, AccessPath.DIRECT_ROW, value,
-                                elapsed + rescan, n_rows, selectivity,
-                                "degraded")
+            return self._degraded(query, var.loaded, answer, elapsed)
         # Undetected with checks off: the CPU really computes over the
         # corrupted bytes. Decode what the buffer holds and answer from
         # that — wrong on purpose, flagged for the chaos harness.
         faults.stats.bump("silent_corruptions")
+        _, selectivity, n_rows = answer
         corrupted = self._decode_packed(query, var, actual)
         return self._result(query, AccessPath.RME, corrupted, elapsed,
                             n_rows, selectivity, "corrupt")
@@ -597,10 +613,21 @@ class QueryExecutor:
         return self._finalize(query, kept)
 
     # -- timing ------------------------------------------------------------------------
-    def _measure(self, segments: Sequence[ScanSegment], flush: bool) -> float:
+    def _device(self):
+        """The lazily-built :class:`repro.pim.BankPIM` of this system."""
+        from ..pim import BankPIM
+
+        if self._pim is None or self._pim.system is not self.system:
+            self._pim = BankPIM(self.system)
+        return self._pim
+
+    def _reset(self, flush: bool) -> None:
         if flush:
             self.system.flush_caches()
         self.system.reset_stats()
+
+    def _measure(self, segments: Sequence[ScanSegment], flush: bool) -> float:
+        self._reset(flush)
         return self.system.measure(segments)
 
     def _result(self, query, path, value, elapsed, n_rows, selectivity, state):
@@ -614,3 +641,34 @@ class QueryExecutor:
             state=state,
             cache_stats=self.system.cache_stats(),
         )
+
+
+def _bound(binding, message: str):
+    """``binding``, or a :class:`QueryError` saying what is missing."""
+    if binding is None:
+        raise QueryError(message)
+    return binding
+
+
+def _row_dicts(query: Query, values) -> List[Dict[str, Any]]:
+    """A projection's tuples back as ``{column: value}`` rows."""
+    return [dict(zip(query.select, row)) for row in values]
+
+
+def _software_join(on: str, sides, elapsed_ns: float, rows_scanned: int,
+                   state: str) -> JoinScan:
+    """The software join step of the CPU join and the degraded PIM join.
+
+    One functional definition (:func:`ops.hash_join`) plus the per-row
+    hash build/probe surcharge on top of the scans' ``elapsed_ns``.
+    """
+    lhs, rhs = sides
+    return JoinScan(
+        rows=ops.hash_join(lhs, rhs, on),
+        elapsed_ns=(elapsed_ns + HASH_BUILD_NS * len(lhs)
+                    + HASH_PROBE_NS * len(rhs)),
+        rows_scanned=rows_scanned,
+        rhs_rows=len(rhs),
+        path=AccessPath.DIRECT_ROW,
+        state=state,
+    )

@@ -10,20 +10,21 @@ IR (:mod:`repro.query.relation`). It does three jobs:
    engine-annotated tree — the column-group fetch on the winning
    engine, explicit :class:`~repro.query.relation.Transfer` nodes at
    the boundaries, compute operators on the CPU.
-2. **Execution** (:meth:`Processor.execute`): walk a placed tree with a
-   visitor, compile it back onto the measured scan machinery
-   (:class:`~repro.query.executor.QueryExecutor`) and return the usual
+2. **Execution** (:meth:`Processor.execute`): compile a placed tree
+   once, in one visitor walk, back into the measured scan machinery's
+   terms and hand it to :meth:`~repro.query.executor.QueryExecutor.run`
+   (or ``run_join``), the one engine dispatch, which returns the usual
    :class:`~repro.query.executor.QueryResult`. Because the engines
    delegate to exactly the same measured primitives, answers and cycle
    counts are bit-identical to the pre-IR pipeline (pinned by
    ``tests/test_ir_equivalence.py``).
 3. **Degradation**: when the RME or the PIM banks raise an
    unrecoverable ``FaultError`` and the recovery policy allows a CPU
-   fallback, the executor degrades
-   transparently; the processor then *re-roots* the fetch subtree onto
-   :data:`~repro.query.engines.DEGRADED` so the executed tree in
-   :attr:`Processor.last_report` records what actually happened — same
-   semantics as before the refactor, now visible in the plan.
+   fallback, the executor degrades transparently; the processor then
+   *re-roots* the tree (:func:`reroot_degraded`: every Transfer into
+   the faulted engine now points at
+   :data:`~repro.query.engines.DEGRADED`) so the executed tree in
+   :attr:`Processor.last_report` records what actually happened.
 
 The bridge functions :func:`relation_from_query` / :func:`to_query`
 convert between the benchmark ``Query`` description and canonical IR
@@ -43,10 +44,9 @@ Plan[Q2]: SELECT A1 FROM S WHERE A2 > 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.access_path import AccessPath
 from ..core.relmem import (
     LoadedColumnGroup,
     LoadedIndex,
@@ -54,19 +54,10 @@ from ..core.relmem import (
     RelationalMemorySystem,
 )
 from ..errors import QueryError
-from . import ops
-from .engines import (
-    COLUMNAR,
-    CPU,
-    DEGRADED,
-    INDEX,
-    PIM,
-    RME,
-    Engine,
-)
-from .executor import JoinScan, QueryExecutor, QueryResult
+from .engines import CPU, DEGRADED, PIM, RME, Engine, engine_for_path
+from .executor import QueryExecutor, QueryResult
 from .optimizer import AccessPathChoice, choose_access_path, choose_join_path
-from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
+from .queries import Query
 from .relation import (
     Aggregate,
     Join,
@@ -79,15 +70,6 @@ from .relation import (
     Transfer,
     print_tree,
 )
-
-#: AccessPath -> the engine that serves it (planner direction).
-_PATH_ENGINES = {
-    AccessPath.DIRECT_ROW: CPU,
-    AccessPath.COLUMNAR: COLUMNAR,
-    AccessPath.RME: RME,
-    AccessPath.INDEX: INDEX,
-    AccessPath.PIM: PIM,
-}
 
 
 def relation_from_query(
@@ -228,16 +210,19 @@ def join_relation(
 
 
 class _QueryCompiler(RelationVisitor):
-    """Compiles a canonical single-table tree back into a ``Query``.
+    """Compiles a canonical tree into what the executor runs, in one walk.
 
-    Walks root-to-leaf recording each operator once; rejects shapes the
-    measured executor cannot price (selection above aggregation, two
-    aggregates, joins — :meth:`Processor.execute` special-cases joins
-    before compiling).
+    Walks root-to-leaf recording each operator once and rejects shapes
+    the measured executor cannot price (selection above aggregation, two
+    aggregates, aggregates below a join). :meth:`compile` yields the
+    equivalent ``query``, the ``scan_engine`` serving the column-group
+    fetch and the scanned ``leaf``; for a join tree the operators above
+    the Join compile into ``query`` and each input into its own compiler
+    in ``sides``.
     """
 
     def __init__(self) -> None:
-        self.name = "adhoc"
+        self.name: Optional[str] = None
         self.sql = ""
         self.select: Optional[Tuple[str, ...]] = None
         self.predicate = None
@@ -248,6 +233,9 @@ class _QueryCompiler(RelationVisitor):
         self.fetch: Optional[Projection] = None
         self.scan_engine: Engine = CPU
         self.leaf: Optional[LeafRelation] = None
+        self.join: Optional[Join] = None
+        self.sides: Tuple["_QueryCompiler", ...] = ()
+        self.query: Optional[Query] = None
 
     # -- traversal ----------------------------------------------------------------
     def visit_label(self, node: Label) -> None:
@@ -301,28 +289,38 @@ class _QueryCompiler(RelationVisitor):
         self.leaf = node
 
     def visit_join(self, node: Join) -> None:
-        """Joins are executed structurally, never compiled to a Query."""
-        raise QueryError("Join trees execute via Processor.execute with "
-                         "table bindings, not via to_query")
+        """Compile each input; both must fetch on the Join's engine."""
+        self.join, self.scan_engine = node, node.engine
+        self.sides = (_QueryCompiler().compile(node.lhs),
+                      _QueryCompiler().compile(node.rhs))
+        for side in self.sides:
+            if side.query.aggregate is not None:
+                raise QueryError("aggregates below a join are not executable")
+            if side.scan_engine != node.engine:
+                raise QueryError(
+                    f"a join on {node.engine.name} needs both inputs fetched "
+                    f"there; got {side.scan_engine.name} (transfer the "
+                    "subtree first)"
+                )
 
     # -- assembly ----------------------------------------------------------------
-    def compile(self, relation: Relation) -> Query:
+    def compile(self, relation: Relation) -> "_QueryCompiler":
         """Run the walk and assemble the equivalent ``Query``."""
         relation.accept(self)
-        if self.leaf is None:
-            raise QueryError(f"no stored table under {relation}")
         if self.aggregate is not None:
             select: Tuple[str, ...] = ()
         elif self.select is not None:
             select = self.select
+        elif self.join is not None:
+            select = self.join.columns
         elif self.fetch is not None:
             select = self.fetch.projected
         else:
             select = self.leaf.columns
             if not select:
                 raise QueryError(f"cannot infer columns for {relation}")
-        query = Query(
-            name=self.name,
+        self.query = Query(
+            name=self.name or ("join" if self.join is not None else "adhoc"),
             sql=self.sql,
             select=select,
             predicate=self.predicate,
@@ -332,14 +330,14 @@ class _QueryCompiler(RelationVisitor):
             passes=self.passes,
         )
         if self.fetch is not None:
-            uncovered = [c for c in query.columns()
+            uncovered = [c for c in self.query.columns()
                          if c not in self.fetch.projected]
             if uncovered:
                 raise QueryError(
-                    f"{self.name}: fetch projection {list(self.fetch.projected)} "
-                    f"does not cover {uncovered}"
+                    f"{self.query.name}: fetch projection "
+                    f"{list(self.fetch.projected)} does not cover {uncovered}"
                 )
-        return query
+        return self
 
 
 def to_query(relation: Relation) -> Query:
@@ -354,93 +352,55 @@ def to_query(relation: Relation) -> Query:
     >>> to_query(relation_from_query(q)) == q
     True
     """
-    return _QueryCompiler().compile(relation)
+    compiled = _QueryCompiler().compile(relation)
+    if compiled.join is not None:
+        raise QueryError("Join trees execute via Processor.execute with "
+                         "table bindings, not via to_query")
+    return compiled.query
 
 
 def scan_engine(relation: Relation) -> Engine:
     """The engine serving ``relation``'s column-group fetch.
 
     For join trees this is the engine the Join node executes on (both
-    inputs live there by construction — ``Join.__post_init__`` enforces
-    it).
+    inputs fetch there by construction).
 
     >>> from repro.query.queries import q1
     >>> from repro.query.engines import RME
     >>> scan_engine(relation_from_query(q1(), engine=RME)).name
     'rme'
     """
-    node = relation
-    while isinstance(node, (Label, Transfer, Selection, Projection,
-                            Aggregate)):
-        node = node.target
-    if isinstance(node, Join):
-        return node.engine
-    compiler = _QueryCompiler()
-    relation.accept(compiler)
-    return compiler.scan_engine
+    return _QueryCompiler().compile(relation).scan_engine
 
 
 def reroot_degraded(relation: Relation) -> Relation:
-    """Re-root the fetch subtree onto the degraded CPU engine.
+    """Point every Transfer into the faulted engine at the degraded one.
 
     Applied by the processor after the executor's fault fallback fired:
-    the returned tree describes the execution that actually happened —
-    the RME subtree replaced by the staleness-free CPU row scan under
-    the :data:`~repro.query.engines.DEGRADED` identity.
+    the faulted engine is the one serving the fetch (or running the
+    Join), and every subtree it owned moves onto
+    :data:`~repro.query.engines.DEGRADED`, the staleness-free CPU
+    fallback — one rule for scans and joins, whatever ran on the faulted
+    engine. Operators, columns and expressions stay as planned, so
+    ``to_query`` of the result equals ``to_query`` of the plan.
 
     >>> from repro.query.queries import q1
     >>> from repro.query.engines import RME
     >>> print(reroot_degraded(relation_from_query(q1(), engine=RME)))
     Q1:[degraded→cpu](π[A1]([cpu→degraded](S)))
     """
-    compiler = _QueryCompiler()
-    query = compiler.compile(relation)
-    leaf = compiler.leaf
-    return relation_from_query(
-        query,
-        engine=DEGRADED,
-        table=leaf.name,
-        schema_columns=leaf.schema_columns,
-        fetch_columns=compiler.fetch.projected if compiler.fetch else None,
-    )
+    faulted = scan_engine(relation)
 
+    def rewrite(node: Relation) -> Relation:
+        if isinstance(node, LeafRelation):
+            return node
+        if isinstance(node, Join):
+            return replace(node, lhs=rewrite(node.lhs), rhs=rewrite(node.rhs))
+        moved = (isinstance(node, Transfer) and node.destination == faulted)
+        return replace(node, target=rewrite(node.target),
+                       **({"destination": DEGRADED} if moved else {}))
 
-def reroot_degraded_join(relation: Relation) -> Relation:
-    """Re-root both join inputs onto the degraded CPU engine.
-
-    The join-tree analogue of :func:`reroot_degraded`: after an
-    unrecoverable in-bank fault fell back to software, the executed
-    tree shows both side fetches (and the join between them) under the
-    :data:`~repro.query.engines.DEGRADED` identity, with the result
-    transferred back to the CPU.
-    """
-    name, sql = ("join", "")
-    node: Relation = relation
-    if isinstance(relation, Label):
-        name, sql = relation.name, relation.sql
-        node = relation.target
-    above: List[Relation] = []
-    while not isinstance(node, Join):
-        above.append(node)
-        node = node.target
-    sides = []
-    for side in (node.lhs, node.rhs):
-        compiler = _QueryCompiler()
-        query = compiler.compile(side)
-        sides.append(_join_side(query, compiler.leaf.name,
-                                compiler.leaf.schema_columns, DEGRADED))
-    tree: Relation = sides[0].join(sides[1], on=node.on).transfer(CPU)
-    for op in reversed(above):
-        if isinstance(op, Selection):
-            tree = tree.select(op.predicate)
-        elif isinstance(op, Aggregate):
-            tree = tree.aggregate(op.func, op.expr, group_by=op.group_by,
-                                  passes=op.passes)
-        elif isinstance(op, Projection):
-            tree = Projection(target=tree, projected=op.projected)
-        # Transfers above the join are placement only; the new tree
-        # carries its own [degraded → cpu] boundary.
-    return tree.label(name, sql)
+    return rewrite(relation)
 
 
 @dataclass(frozen=True)
@@ -540,7 +500,7 @@ class Processor:
                 selectivity=selectivity,
                 index=index.index if index is not None else None,
             )
-            engine = _PATH_ENGINES[choice.best]
+            engine = engine_for_path(choice.best)
         relation = relation_from_query(
             query,
             engine=engine,
@@ -578,7 +538,7 @@ class Processor:
                 lhs_selectivity=lhs_selectivity,
                 rhs_selectivity=rhs_selectivity,
             )
-            engine = _PATH_ENGINES[choice.best]
+            engine = engine_for_path(choice.best)
         relation = join_relation(
             on, lhs_query, rhs_query, engine=engine,
             lhs_table=lhs_loaded.name, rhs_table=rhs_loaded.name,
@@ -586,11 +546,7 @@ class Processor:
             rhs_schema_columns=tuple(rhs_loaded.schema.names),
             name=name, sql=sql,
         )
-        node: Relation = relation.target
-        while not isinstance(node, Join):
-            node = node.target
-        query = Query(name=relation.name, sql=sql or relation.sql,
-                      select=tuple(node.columns))
+        query = _QueryCompiler().compile(relation).query
         return ExecutionPlan(relation=relation, query=query, choice=choice)
 
     def explain(self, relation: Relation) -> str:
@@ -611,44 +567,27 @@ class Processor:
         """Execute a placed tree and return the measured result.
 
         Bindings supply the storage objects each engine scans: the
-        ``loaded`` row table (CPU / degraded / index), the ``columnar``
-        copy, the ephemeral ``var`` (RME), or — for join trees — the
-        ``tables`` map from leaf name to loaded table. The executed
-        tree (with any fault re-rooting applied) lands in
-        :attr:`last_report`.
+        ``loaded`` row table (CPU / degraded / index / PIM), the
+        ``columnar`` copy, the ephemeral ``var`` (RME), or — for join
+        trees — the ``tables`` map from leaf name to loaded table. The
+        tree compiles once and the executor's dispatch checks the
+        bindings. A ``"degraded"`` result re-roots the executed tree
+        (:func:`reroot_degraded`), which lands in :attr:`last_report`.
         """
-        if self._join_below(relation):
-            return self._execute_join(relation, tables or {}, flush)
-        query = to_query(relation)
-        engine = scan_engine(relation)
-        executed = relation
-        if engine == RME:
-            if var is None:
-                raise QueryError("an RME-placed tree needs an ephemeral "
-                                 "variable binding (var=...)")
-            result = self.executor.run_rme(query, var, flush)
-            if result.state == "degraded":
-                executed = reroot_degraded(relation)
-        elif engine == PIM:
-            if loaded is None:
-                raise QueryError("a PIM-placed tree needs a loaded= binding")
-            result = self.executor.run_pim(query, loaded, flush)
-            if result.state == "degraded":
-                executed = reroot_degraded(relation)
-        elif engine == COLUMNAR:
-            if loaded is None or columnar is None:
-                raise QueryError("a columnar-placed tree needs loaded= and "
-                                 "columnar= bindings")
-            result = self.executor.run_columnar(query, loaded, columnar, flush)
-        elif engine == INDEX:
-            if loaded is None or index is None:
-                raise QueryError("an index-placed tree needs loaded= and "
-                                 "index= bindings")
-            result = self.executor.run_index(query, loaded, index, flush)
-        else:  # CPU or DEGRADED: the row-store scan
-            if loaded is None:
-                raise QueryError("a CPU-placed tree needs a loaded= binding")
-            result = self.executor.run_direct(query, loaded, flush)
+        compiled = _QueryCompiler().compile(relation)
+        path = compiled.scan_engine.access_path
+        if compiled.join is None:
+            result = self.executor.run(compiled.query, loaded, path, var=var,
+                                       columnar=columnar, index=index,
+                                       flush=flush)
+        else:
+            tables = tables or {}
+            sides = [(side.query, tables.get(side.leaf.name))
+                     for side in compiled.sides]
+            result = self.executor.run_join(compiled.query, compiled.join.on,
+                                            sides, path, flush)
+        executed = (reroot_degraded(relation) if result.state == "degraded"
+                    else relation)
         self.last_report = ExecutionReport(planned=relation, executed=executed,
                                            result=result)
         return result
@@ -684,131 +623,6 @@ class Processor:
                      columnar=columnar, index=index, flush=flush)
         return self.last_report
 
-    # -- joins --------------------------------------------------------------------
-    @staticmethod
-    def _join_below(node: Relation) -> bool:
-        """True when a Join sits under a chain of unary operators."""
-        while isinstance(node, (Selection, Projection, Aggregate, Transfer,
-                                Label)):
-            node = node.target
-        return isinstance(node, Join)
-
-    def _side_rows(
-        self, side: Relation, tables: Dict[str, LoadedTable], flush: bool
-    ) -> Tuple[List[Dict[str, Any]], QueryResult]:
-        """Scan one join input and return its rows as dicts."""
-        compiler = _QueryCompiler()
-        query = compiler.compile(side)
-        if compiler.scan_engine not in (CPU, DEGRADED):
-            raise QueryError(
-                f"join inputs execute on the CPU engine for now; got "
-                f"{compiler.scan_engine.name} (transfer the subtree to CPU)"
-            )
-        name = compiler.leaf.name
-        if name not in tables:
-            raise QueryError(f"join executes with tables={{...}}; no binding "
-                             f"for leaf {name!r}")
-        if query.aggregate is not None:
-            raise QueryError("aggregates below a join are not executable")
-        result = self.executor.run_direct(query, tables[name], flush)
-        columns = query.select
-        rows = [dict(zip(columns, values)) for values in result.value]
-        return rows, result
-
-    def _pim_join_scan(
-        self, node: Join, tables: Dict[str, LoadedTable], flush: bool
-    ) -> JoinScan:
-        """Compile both PIM-placed join inputs and run them at the banks."""
-        queries: List[Query] = []
-        loadeds: List[LoadedTable] = []
-        for side in (node.lhs, node.rhs):
-            compiler = _QueryCompiler()
-            query = compiler.compile(side)
-            if compiler.scan_engine != PIM:
-                raise QueryError(
-                    f"a PIM join needs both inputs on the PIM engine; got "
-                    f"{compiler.scan_engine.name}"
-                )
-            name = compiler.leaf.name
-            if name not in tables:
-                raise QueryError(f"join executes with tables={{...}}; no "
-                                 f"binding for leaf {name!r}")
-            queries.append(query)
-            loadeds.append(tables[name])
-        return self.executor.run_pim_join(node.on, queries[0], loadeds[0],
-                                          queries[1], loadeds[1], flush)
-
-    def _execute_join(
-        self, relation: Relation, tables: Dict[str, LoadedTable], flush: bool
-    ) -> QueryResult:
-        """Join two scanned sides, then apply the operators above.
-
-        The functional answer follows the usual split: rows come from
-        the stored tables (via the one shared :func:`ops.hash_join`
-        definition), the timing from the engine the Join node sits on —
-        two measured row scans plus a per-row hash surcharge on the
-        CPU, or the in-bank partition/build/probe bill on the PIM
-        engine. An unrecoverable PIM fault degrades like any other PIM
-        scan: the software join's rows, the wasted simulated time on
-        the bill, and the executed tree re-rooted onto ``@degraded``.
-        """
-        name = relation.name if isinstance(relation, Label) else "join"
-        above: List[Relation] = []
-        node = relation.target if isinstance(relation, Label) else relation
-        while not isinstance(node, Join):
-            above.append(node)
-            node = node.target
-        executed = relation
-        if node.engine == PIM:
-            scan = self._pim_join_scan(node, tables, flush)
-            if scan.state == "degraded":
-                executed = reroot_degraded_join(relation)
-        else:
-            lhs_rows, lhs_result = self._side_rows(node.lhs, tables, flush)
-            rhs_rows, rhs_result = self._side_rows(node.rhs, tables,
-                                                   flush=False)
-            scan = JoinScan(
-                rows=ops.hash_join(lhs_rows, rhs_rows, node.on),
-                elapsed_ns=(lhs_result.elapsed_ns + rhs_result.elapsed_ns
-                            + HASH_BUILD_NS * len(lhs_rows)
-                            + HASH_PROBE_NS * len(rhs_rows)),
-                rows_scanned=(lhs_result.rows_scanned
-                              + rhs_result.rows_scanned),
-                rhs_rows=len(rhs_rows),
-                path=AccessPath.DIRECT_ROW,
-                state="-",
-            )
-        value: Any = [tuple(row[c] for c in node.columns)
-                      for row in scan.rows]
-        kept = scan.rows
-        for op in reversed(above):
-            if isinstance(op, Selection):
-                kept = ops.filter_rows(kept, op.predicate)
-                value = [tuple(row[c] for c in node.columns) for row in kept]
-            elif isinstance(op, Aggregate):
-                if op.group_by is not None:
-                    value = ops.group_aggregate(kept, op.group_by, op.func,
-                                                op.expr)
-                else:
-                    value = ops.aggregate(op.func,
-                                          [op.expr.eval(row) for row in kept])
-            elif isinstance(op, Projection):
-                value = ops.project(kept, op.projected)
-            # Transfers above a join are placement only.
-        selectivity = len(scan.rows) / scan.rhs_rows if scan.rhs_rows else 0.0
-        result = QueryResult(
-            query=name,
-            path=scan.path,
-            value=value,
-            elapsed_ns=scan.elapsed_ns,
-            rows_scanned=scan.rows_scanned,
-            selectivity=selectivity,
-            state=scan.state,
-            cache_stats=self.system.cache_stats(),
-        )
-        self.last_report = ExecutionReport(planned=relation,
-                                           executed=executed, result=result)
-        return result
 
 
 def explain_placement(query: Query, engine: Engine = RME,

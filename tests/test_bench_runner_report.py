@@ -75,6 +75,33 @@ def test_baseline_memo_replays_only_under_fastpath(small_table):
     assert "poisoned" not in clean.cache_stats.get("L1", {})
 
 
+def test_baseline_memo_keys_on_the_whole_query():
+    """Queries differing only in predicate must not share a replay."""
+    import dataclasses
+
+    from repro.bench import runner as runner_mod
+    from repro.config import ZCU102
+    from repro.query import Col, Query
+
+    table = make_relation(256, n_cols=4)
+    fast = ExperimentRunner(
+        platform=dataclasses.replace(ZCU102, fastpath=True), designs=(MLP,)
+    )
+
+    def adhoc(k):
+        return Query(name="adhoc", sql="", select=("A1",),
+                     predicate=Col("A2") > k)
+
+    some = fast.time_direct(table, adhoc(0))
+    none = fast.time_direct(table, adhoc(10**9))
+    assert some.value and none.value == []
+    assert fast.time_columnar(table, adhoc(10**9)).value == []
+    # A rebuilt but identical template still replays.
+    hits = runner_mod.BASELINE_MEMO_TALLY["hits"]
+    assert fast.time_direct(table, adhoc(0)).value == some.value
+    assert runner_mod.BASELINE_MEMO_TALLY["hits"] == hits + 1
+
+
 def test_figure_result_normalization():
     fig = FigureResult(
         fig_id="X", title="t", x_label="x", xs=[1, 2],

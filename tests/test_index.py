@@ -242,3 +242,33 @@ def test_optimizer_alternates_with_selectivity(indexed_env):
     assert broad.estimates_ns[AccessPath.INDEX] > min(
         broad.estimates_ns[AccessPath.DIRECT_ROW],
         broad.estimates_ns[AccessPath.RME])
+
+
+def test_index_path_sees_only_visible_versions():
+    """The tree holds physical row ids; on an MVCC table only the versions
+    visible at the snapshot may answer, exactly as the direct scan does."""
+    from repro.storage import Column, Schema, int32
+    from repro.storage.mvcc import TransactionManager, VersionedRowTable
+
+    table = VersionedRowTable(
+        "v", Schema([Column("K", int32()), Column("V", int32())]))
+    manager = TransactionManager(table)
+    for k in range(8):
+        manager.insert([k, 100 + k])
+    manager.update(0, [0, 200])
+    manager.update(6, [6, 206])
+    manager.delete(7)
+    system = RelationalMemorySystem()
+    loaded = system.load_table(table, manager)
+    index = system.load_index(loaded, "K")
+    executor = QueryExecutor(system)
+    for predicate in (Col("K") >= 5, Col("K") < 3, Col("K").eq(6),
+                      Col("K") > 100):
+        query = Query(name="k", sql="", select=("K", "V"),
+                      predicate=predicate)
+        via_index = executor.run_index(query, loaded, index).value
+        assert sorted(via_index) == sorted(
+            executor.run_direct(query, loaded).value)
+    query = Query(name="k", sql="", select=("K", "V"), predicate=Col("K") >= 5)
+    assert sorted(executor.run_index(query, loaded, index).value) == [
+        (5, 105), (6, 206)]

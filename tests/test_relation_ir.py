@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from repro.bench.workloads import make_relation
+from repro.bench.workloads import make_join_tables, make_relation
+from repro.core.access_path import AccessPath
 from repro.core.relmem import RelationalMemorySystem
 from repro.errors import QueryError
 from repro.query.engines import (
@@ -17,8 +18,7 @@ from repro.query.engines import (
     INDEX,
     PIM,
     RME,
-    CpuEngine,
-    RmeEngine,
+    Engine,
 )
 from repro.query.expr import Col
 from repro.query.processor import (
@@ -27,7 +27,6 @@ from repro.query.processor import (
     join_relation,
     relation_from_query,
     reroot_degraded,
-    reroot_degraded_join,
     scan_engine,
     to_query,
 )
@@ -124,9 +123,9 @@ def test_join_requires_matching_engines():
 
 
 def test_engines_compare_by_type():
-    assert CPU == CpuEngine()
+    assert CPU == Engine("cpu", AccessPath.DIRECT_ROW)
     assert CPU != RME
-    assert RmeEngine() == RME
+    assert Engine("rme", AccessPath.RME) == RME
     assert len({e.name for e in ALL_ENGINES}) == len(ALL_ENGINES)
     assert DEGRADED.access_path == CPU.access_path
     assert DEGRADED != CPU
@@ -233,11 +232,43 @@ def test_having_shape_rejected():
         to_query(tree)
 
 
-def test_reroot_degraded():
-    planned = relation_from_query(q1(), engine=RME)
-    executed = reroot_degraded(planned)
+def _on_engine(text, old, new):
+    """A printed plan with every ``old`` engine tag renamed to ``new``."""
+    for before, after in (("@{}", "@{}"), ("{} →", "{} →"), ("→ {}", "→ {}")):
+        text = text.replace(before.format(old), after.format(new))
+    return text
+
+
+@pytest.mark.parametrize("case", ["rme-scan", "pim-scan", "pim-join"])
+def test_reroot_degraded(case):
+    """A faulted run executes the plan with its engine renamed @degraded."""
+    from repro.faults import FaultPlan, RecoveryPolicy
+
+    system = RelationalMemorySystem()
+    system.enable_faults(FaultPlan.single("dram_bitflip", 0.0, severity=2),
+                         RecoveryPolicy(max_retries=0))
+    processor = Processor(system)
+    if case == "pim-join":
+        dim, fact = (system.load_table(t) for t in make_join_tables(256))
+        plan = processor.plan_join(
+            "K", Query(name="dim", sql="", select=("K", "D1")), dim,
+            Query(name="fact", sql="", select=("K", "A1"),
+                  predicate=Col("F1") > 0), fact, engine=PIM)
+        processor.execute(plan.relation, tables={"D": dim, "F": fact})
+    else:
+        engine = RME if case == "rme-scan" else PIM
+        processor.run(q4(), system.load_table(make_relation(160, seed=5)),
+                      engine=engine)
+    report = processor.last_report
+    planned, executed = report.planned, report.executed
+    faulted = scan_engine(planned)
+    assert report.result.state == "degraded"
+    assert print_tree(executed) == _on_engine(print_tree(planned),
+                                              faulted.name, "degraded")
+    assert executed == reroot_degraded(planned)
     assert scan_engine(executed) == DEGRADED
-    assert to_query(executed) == to_query(planned)
+    if case != "pim-join":
+        assert to_query(executed) == to_query(planned)
 
 
 def test_parse_relation_matches_from_query():
@@ -377,7 +408,7 @@ def render_golden_plans():
                  predicate=Col("F1") > 0)
     plans["join-pim"] = print_tree(join_relation("K", dim, fact, engine=PIM))
     plans["join-pim-degraded"] = print_tree(
-        reroot_degraded_join(join_relation("K", dim, fact, engine=PIM)))
+        reroot_degraded(join_relation("K", dim, fact, engine=PIM)))
     plans["join-cpu"] = print_tree(join_relation("K", dim, fact, engine=CPU))
     return plans
 
