@@ -27,24 +27,25 @@ import math
 from typing import List, Optional, Tuple
 
 from ..faults import CircuitBreaker
-from ..sim import Event, MetricsRegistry, Simulator
-from ..serve.scheduler import Port, SchedulerPolicy
+from ..sim import MetricsRegistry, Simulator
+from ..serve.scheduler import SchedulerPolicy, Wakeup
 
 
 class ClusterNode:
     """State and plumbing for one node of a :class:`ClusterSystem`."""
 
-    def __init__(self, index: int, metrics: MetricsRegistry,
+    def __init__(self, index: int, sim: Simulator,
                  breaker: Optional[CircuitBreaker]):
         self.index = index
         self.name = f"node{index}"
-        self.metrics = metrics
+        self.metrics = metrics = MetricsRegistry(self.name)
         self.slo_stats = metrics.scope("slo")
         self.node_stats = metrics.scope("node")
         self.sched_stats = metrics.scope("scheduler")
         self.breaker = breaker
-        # Wired by the cluster after construction.
-        self.ports: List[Port] = []
+        #: Idle port loops park here until an attempt is dispatched.
+        self.wakeup = Wakeup(sim)
+        # Wired by the cluster after construction (it owns the policy).
         self.scheduler: Optional[SchedulerPolicy] = None
         # Fault state.
         self.down_until = 0.0
@@ -58,17 +59,6 @@ class ClusterNode:
         self.marked_down = False
         # Serving counters mirrored outside the registry for cheap access.
         self.served = 0
-        self._wake: Optional[Event] = None
-
-    # -- idle plumbing (same pattern as ServingSystem) ----------------------
-    def wake_event(self, sim: Simulator) -> Event:
-        if self._wake is None or self._wake.triggered:
-            self._wake = sim.event()
-        return self._wake
-
-    def kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
 
     # -- fault-state queries -------------------------------------------------
     def is_down(self, now: float) -> bool:

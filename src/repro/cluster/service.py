@@ -40,24 +40,19 @@ latencies (the PR 5 algebra, one tier up).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Union
 
 from ..config import PlatformConfig, ZCU102
 from ..errors import ConfigurationError
-from ..faults import (
-    DEFAULT_RECOVERY,
-    NODE_FAULT_KINDS,
-    CircuitBreaker,
-    FaultPlan,
-    RecoveryPolicy,
-)
+from ..faults import NODE_FAULT_KINDS, FaultPlan, RecoveryPolicy
 from ..rme.designs import MLP, DesignParams
 from ..sim import Event, MetricsRegistry, Simulator
-from ..serve.profiles import WorkloadProfile, profile_workload
-from ..serve.scheduler import POLICIES, Port, make_scheduler
+from ..serve.profiles import WorkloadProfile
+from ..serve.scheduler import Port, program_port
+from ..serve.service import SLORates, ServingTier
 from ..serve.workload import OpenLoopWorkload, Request, TenantSpec
 from .node import ClusterNode
-from .placement import Placement, make_placement, routing_names
+from .placement import Placement, make_placement
 
 #: request.node value for answers served by the CPU snapshot replica.
 CPU_REPLICA = -1
@@ -94,7 +89,7 @@ class NodeSLO:
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(SLORates):
     """Everything one cluster run produced, availability first."""
 
     n_nodes: int
@@ -130,19 +125,8 @@ class ClusterReport:
     events: List[tuple] = field(repr=False, default_factory=list)
 
     @property
-    def availability(self) -> float:
-        """Fraction of arrivals answered (shed and failed count against)."""
-        return self.served / self.arrivals if self.arrivals else 0.0
-
-    @property
     def degraded_ratio(self) -> float:
         return self.degraded / self.served if self.served else 0.0
-
-    @property
-    def throughput_qps(self) -> float:
-        if not self.duration_ns:
-            return 0.0
-        return self.served / (self.duration_ns / 1e9)
 
     def node(self, index: int) -> NodeSLO:
         for slo in self.nodes:
@@ -178,7 +162,7 @@ class ClusterReport:
         )
 
 
-class ClusterSystem:
+class ClusterSystem(ServingTier):
     """Routes a workload across N simulated serving nodes."""
 
     def __init__(
@@ -204,11 +188,6 @@ class ClusterSystem:
         sync_interval_ns: float = 50_000.0,
         hedge_min_samples: int = 16,
     ):
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown scheduler policy {policy!r} "
-                f"(choose from {', '.join(POLICIES)})"
-            )
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         if deadline_factor <= 0:
@@ -221,19 +200,8 @@ class ClusterSystem:
             raise ConfigurationError("health_fail_threshold must be >= 1")
         if hedge_min_samples < 1:
             raise ConfigurationError("hedge_min_samples must be >= 1")
-        if isinstance(workload_profile, WorkloadProfile):
-            self.profile = workload_profile
-        else:
-            self.profile = profile_workload(
-                workload_profile, platform=platform, design=design
-            )
-        if n_ports is None:
-            n_ports = 2 if policy == "multi-port" else 1
-        if policy != "multi-port" and n_ports != 1:
-            raise ConfigurationError(
-                f"policy {policy!r} models the single configuration port; "
-                "use multi-port for n_ports > 1"
-            )
+        super().__init__(workload_profile, policy, n_ports, queue_depth,
+                         quantum, platform, design, recovery)
         if fault_plan is not None:
             for event in fault_plan.events:
                 if event.kind not in NODE_FAULT_KINDS:
@@ -249,12 +217,7 @@ class ClusterSystem:
         self.n_nodes = n_nodes
         self.replication = min(replication, n_nodes)
         self.routing = routing
-        self.policy = policy
-        self.n_ports = n_ports
-        self.queue_depth = queue_depth
-        self.quantum = quantum
         self.fault_plan = fault_plan
-        self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.failover = failover
         self.hedging = hedging
         self.deadline_ns = (
@@ -268,7 +231,6 @@ class ClusterSystem:
         self.placement: Placement = make_placement(
             routing, self.profile.tenant_names, n_nodes, self.replication
         )
-        self.metrics: Optional[MetricsRegistry] = None
 
     # -- the run -------------------------------------------------------------
     def run(self, workload: OpenLoopWorkload) -> ClusterReport:
@@ -277,9 +239,7 @@ class ClusterSystem:
             raise ConfigurationError(
                 "the cluster tier serves open-loop workloads"
             )
-        for spec in workload.mix.tenants:
-            for template, _query in spec.templates:
-                self.profile.profile(spec.name, template)  # raises if absent
+        self._check_workload(workload)
         sim = self.sim = Simulator()
         metrics = self.metrics = MetricsRegistry("cluster")
         self._router_stats = metrics.scope("router")
@@ -287,17 +247,10 @@ class ClusterSystem:
         self._fault_stats = metrics.scope("faults")
         self.nodes: List[ClusterNode] = []
         for index in range(self.n_nodes):
-            breaker = CircuitBreaker(
-                self.recovery.breaker_threshold,
-                self.recovery.breaker_cooldown_ns,
-            ) if self.recovery.enabled else None
-            node = ClusterNode(
-                index, MetricsRegistry(f"node{index}"), breaker
-            )
-            node.ports = [Port(index=i) for i in range(self.n_ports)]
-            node.scheduler = make_scheduler(
-                self.policy, node.ports, self.queue_depth, node.sched_stats,
-                self._descriptor_of_attempt, quantum=self.quantum,
+            node = ClusterNode(index, sim, self._breaker())
+            node.scheduler = self._scheduler(
+                node.sched_stats,
+                lambda attempt: self._profile_of(attempt.request).descriptor,
             )
             self.nodes.append(node)
         self.records: List[Request] = []
@@ -307,45 +260,33 @@ class ClusterSystem:
         self._max_finish_ns = 0.0
         if self.fault_plan is not None and self.fault_plan.events:
             sim.process(self._fault_driver(), name="faults")
-        sim.process(self._open_loop_driver(workload.schedule()),
+        sim.process(workload.drive(sim, self._arrive, self._end_arrivals),
                     name="arrivals")
         for node in self.nodes:
-            for port in node.ports:
+            for port in node.scheduler.ports:
                 sim.process(self._port_loop(node, port),
                             name=f"{node.name}.port{port.index}")
         sim.run()
         return self._build_report()
 
-    def _descriptor_of_attempt(self, attempt: _Attempt) -> object:
-        request = attempt.request
-        return self.profile.profile(request.tenant, request.template).descriptor
-
     def _log(self, kind: str, *detail) -> None:
         self.events.append((self.sim.now, kind) + detail)
 
     # -- arrivals ------------------------------------------------------------
-    def _open_loop_driver(self, schedule):
-        for arrival in schedule:
-            gap = arrival.at_ns - self.sim.now
-            if gap > 0:
-                yield self.sim.timeout(gap)
-            request = Request(
-                index=arrival.index,
-                tenant=arrival.tenant,
-                template=arrival.template,
-                arrival_ns=self.sim.now,
-            )
-            self.records.append(request)
-            self._router_stats.bump("arrivals")
-            self._open_requests += 1
-            self.sim.process(self._request_driver(request),
-                             name=f"req{request.index}")
+    def _arrive(self, request: Request) -> None:
+        self.records.append(request)
+        self._router_stats.bump("arrivals")
+        self._open_requests += 1
+        self.sim.process(self._request_driver(request),
+                         name=f"req{request.index}")
+
+    def _end_arrivals(self) -> None:
         self._arrivals_done = True
         self._kick_all()
 
     def _kick_all(self) -> None:
         for node in self.nodes:
-            node.kick()
+            node.wakeup.kick()
 
     def _complete(self, request: Request) -> None:
         self._open_requests -= 1
@@ -402,7 +343,7 @@ class ClusterSystem:
 
     # -- the per-request driver ----------------------------------------------
     def _request_driver(self, request: Request):
-        profile = self.profile.profile(request.tenant, request.template)
+        profile = self._profile_of(request)
         candidates = self.placement.replicas_for(request.tenant)
         primary = candidates[0]
         tried: Set[int] = set()
@@ -503,7 +444,7 @@ class ClusterSystem:
         )
         if not node.scheduler.admit(attempt):
             return None
-        node.kick()
+        node.wakeup.kick()
         return attempt
 
     def _deadline_timer(self, winner: Event):
@@ -520,7 +461,7 @@ class ClusterSystem:
                 if (self._arrivals_done and self._open_requests == 0
                         and node.scheduler.backlog() == 0):
                     return
-                yield node.wake_event(sim)
+                yield node.wakeup.wait()
                 continue
             if attempt.abandoned or attempt.winner.triggered:
                 node.node_stats.bump("abandoned")
@@ -533,19 +474,10 @@ class ClusterSystem:
             if attempt.abandoned or attempt.winner.triggered:
                 node.node_stats.bump("abandoned")
                 continue
-            profile = self.profile.profile(
-                attempt.request.tenant, attempt.request.template
-            )
+            profile = self._profile_of(attempt.request)
             start = sim.now
             epoch = node.crash_epoch
-            if port.descriptor != profile.descriptor:
-                port.descriptor = profile.descriptor
-                port.switches += 1
-                node.sched_stats.bump("context_switches")
-                reconfig = profile.program_ns + profile.fill_ns
-            else:
-                node.sched_stats.bump("hot_hits")
-                reconfig = 0.0
+            reconfig = program_port(port, profile, node.sched_stats)
             scale = node.service_scale(sim.now)
             if scale > 1.0:
                 node.node_stats.bump("slowed_serves")
@@ -573,9 +505,8 @@ class ClusterSystem:
                        primary: int) -> None:
         now = self.sim.now
         node = self.nodes[winner_index]
-        profile = self.profile.profile(request.tenant, request.template)
         request.finish_ns = now
-        request.value = profile.value
+        request.value = self._profile_of(request).value
         request.port = winner_index
         request.state = "served"
         if node.breaker is not None:

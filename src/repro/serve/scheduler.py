@@ -31,11 +31,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..sim import StatSet
+from ..sim import Event, Simulator, StatSet
 from .workload import Request
+
+if TYPE_CHECKING:
+    from .profiles import QueryProfile
 
 #: Policy names accepted by :func:`make_scheduler` and the CLI.
 POLICIES = ("fcfs", "ctx-switch", "multi-port")
@@ -60,6 +63,40 @@ class Port:
     descriptor: Optional[object] = None
     served: int = 0
     switches: int = 0
+
+
+def program_port(port: Port, profile: "QueryProfile", stats: StatSet) -> float:
+    """Point ``port`` at ``profile``'s descriptor; the reconfiguration ns.
+
+    A port already holding the descriptor is hot and costs nothing. A
+    switch costs register programming plus the projection regeneration
+    the new descriptor forces — the step every serving and cluster port
+    takes before it scans.
+    """
+    if port.descriptor != profile.descriptor:
+        port.descriptor = profile.descriptor
+        port.switches += 1
+        stats.bump("context_switches")
+        return profile.program_ns + profile.fill_ns
+    stats.bump("hot_hits")
+    return 0.0
+
+
+class Wakeup:
+    """One event idle port loops park on until :meth:`kick` resumes them."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._event: Optional[Event] = None
+
+    def wait(self) -> Event:
+        if self._event is None or self._event.triggered:
+            self._event = self.sim.event()
+        return self._event
+
+    def kick(self) -> None:
+        if self._event is not None and not self._event.triggered:
+            self._event.succeed()
 
 
 class SchedulerPolicy:
@@ -231,6 +268,15 @@ class MultiPortScheduler(SchedulerPolicy):
         return None
 
 
+def check_policy(policy: str) -> None:
+    """Reject a policy name that is not in :data:`POLICIES`."""
+    if policy not in POLICIES:
+        raise ConfigurationError(
+            f"unknown scheduler policy {policy!r} "
+            f"(choose from {', '.join(POLICIES)})"
+        )
+
+
 def make_scheduler(
     policy: str,
     ports: List[Port],
@@ -240,14 +286,10 @@ def make_scheduler(
     quantum: int = 8,
 ) -> SchedulerPolicy:
     """Instantiate the named policy (see :data:`POLICIES`)."""
-    if policy == "fcfs":
-        return FCFSScheduler(ports, queue_depth, stats, descriptor_of)
+    check_policy(policy)
     if policy == "ctx-switch":
         return CtxSwitchScheduler(
             ports, queue_depth, stats, descriptor_of, quantum=quantum
         )
-    if policy == "multi-port":
-        return MultiPortScheduler(ports, queue_depth, stats, descriptor_of)
-    raise ConfigurationError(
-        f"unknown scheduler policy {policy!r} (choose from {', '.join(POLICIES)})"
-    )
+    cls = FCFSScheduler if policy == "fcfs" else MultiPortScheduler
+    return cls(ports, queue_depth, stats, descriptor_of)

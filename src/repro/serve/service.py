@@ -37,21 +37,46 @@ from ..errors import ConfigurationError
 from ..faults import DEFAULT_RECOVERY, CircuitBreaker, RecoveryPolicy
 from ..rme.designs import MLP, DesignParams
 from ..sim import Event, MetricsRegistry, Simulator
-from .profiles import PROFILE_CACHE, WorkloadProfile, profile_workload
-from .scheduler import POLICIES, Port, SchedulerPolicy, make_scheduler
-from .workload import (
-    Arrival,
-    ClosedLoopWorkload,
-    OpenLoopWorkload,
-    Request,
-    TenantSpec,
+from .profiles import PROFILE_CACHE, QueryProfile, WorkloadProfile, profile_workload
+from .scheduler import (
+    Port,
+    SchedulerPolicy,
+    Wakeup,
+    check_policy,
+    make_scheduler,
+    program_port,
 )
+from .workload import ClosedLoopWorkload, OpenLoopWorkload, Request, TenantSpec
 
 Workload = Union[OpenLoopWorkload, ClosedLoopWorkload]
 
 
+class SLORates:
+    """Availability, shed rate and throughput over a report's counts.
+
+    Shared by every SLO summary: it needs ``arrivals``, ``served``,
+    ``shed`` and ``duration_ns`` (simulated).
+    """
+
+    @property
+    def shed_rate(self) -> float:
+        return self.shed / self.arrivals if self.arrivals else 0.0
+
+    @property
+    def availability(self) -> float:
+        """Fraction of arrivals answered (shed and failed count against)."""
+        return self.served / self.arrivals if self.arrivals else 0.0
+
+    @property
+    def throughput_qps(self) -> float:
+        """Served requests per simulated second."""
+        if not self.duration_ns:
+            return 0.0
+        return self.served / (self.duration_ns / 1e9)
+
+
 @dataclass(frozen=True)
-class TenantSLO:
+class TenantSLO(SLORates):
     """One tenant's service-level summary over a serving run."""
 
     tenant: str
@@ -62,22 +87,13 @@ class TenantSLO:
     p95_ns: float
     p99_ns: float
     mean_ns: float
-    throughput_qps: float
+    duration_ns: float  #: the whole run's simulated length
     degraded: int = 0  #: served via the CPU fallback path
     failed: int = 0  #: unanswered under faults (recovery off)
 
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.arrivals if self.arrivals else 0.0
-
-    @property
-    def availability(self) -> float:
-        """Fraction of arrivals that received an answer."""
-        return self.served / self.arrivals if self.arrivals else 0.0
-
 
 @dataclass
-class ServingReport:
+class ServingReport(SLORates):
     """Everything one serving run produced, SLOs first."""
 
     policy: str
@@ -109,25 +125,9 @@ class ServingReport:
     retries_total: int = 0
 
     @property
-    def shed_rate(self) -> float:
-        return self.shed / self.arrivals if self.arrivals else 0.0
-
-    @property
-    def availability(self) -> float:
-        """Fraction of arrivals answered (shed and failed count against)."""
-        return self.served / self.arrivals if self.arrivals else 0.0
-
-    @property
     def fallback_ratio(self) -> float:
         """Fraction of served answers that came from the CPU fallback."""
         return self.degraded / self.served if self.served else 0.0
-
-    @property
-    def throughput_qps(self) -> float:
-        """Served requests per simulated second."""
-        if not self.duration_ns:
-            return 0.0
-        return self.served / (self.duration_ns / 1e9)
 
     @property
     def hot_rate(self) -> float:
@@ -176,7 +176,77 @@ class ServingReport:
         )
 
 
-class ServingSystem:
+class ServingTier:
+    """What every port-serving tier shares: its checks and its ports.
+
+    :class:`ServingSystem` serves one engine's configuration ports; the
+    cluster tier gives each of its nodes the same set behind a router.
+    Both validate their inputs here, look profiles up here and build
+    each node's ports and scheduler here.
+    """
+
+    def __init__(
+        self,
+        workload_profile: Union[WorkloadProfile, Sequence[TenantSpec]],
+        policy: str,
+        n_ports: Optional[int],
+        queue_depth: int,
+        quantum: int,
+        platform: PlatformConfig,
+        design: DesignParams,
+        recovery: Optional[RecoveryPolicy],
+    ):
+        check_policy(policy)
+        if n_ports is None:
+            n_ports = 2 if policy == "multi-port" else 1
+        if n_ports < 1:
+            raise ConfigurationError(f"n_ports must be >= 1, got {n_ports}")
+        if policy != "multi-port" and n_ports != 1:
+            raise ConfigurationError(
+                f"policy {policy!r} models the single configuration port; "
+                "use multi-port for n_ports > 1"
+            )
+        if isinstance(workload_profile, WorkloadProfile):
+            self.profile = workload_profile
+        else:
+            self.profile = profile_workload(
+                workload_profile, platform=platform, design=design
+            )
+        self.policy = policy
+        self.n_ports = n_ports
+        self.queue_depth = queue_depth
+        self.quantum = quantum
+        self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
+        #: The last run's registry (also returned inside the report).
+        self.metrics: Optional[MetricsRegistry] = None
+
+    def _check_workload(self, workload: Workload) -> None:
+        for spec in workload.mix.tenants:
+            for template, _query in spec.templates:
+                self.profile.profile(spec.name, template)  # raises if absent
+
+    def _profile_of(self, request: Request) -> QueryProfile:
+        return self.profile.profile(request.tenant, request.template)
+
+    def _breaker(self) -> Optional[CircuitBreaker]:
+        """A fresh circuit breaker, or None: breakers are recovery
+        machinery, so a no-recovery baseline takes every fault on the
+        chin instead of failing fast."""
+        if not self.recovery.enabled:
+            return None
+        return CircuitBreaker(self.recovery.breaker_threshold,
+                              self.recovery.breaker_cooldown_ns)
+
+    def _scheduler(self, stats, descriptor_of) -> SchedulerPolicy:
+        """A fresh scheduler over ``n_ports`` cold ports (``.ports``)."""
+        ports = [Port(index=i) for i in range(self.n_ports)]
+        return make_scheduler(
+            self.policy, ports, self.queue_depth, stats, descriptor_of,
+            quantum=self.quantum,
+        )
+
+
+class ServingSystem(ServingTier):
     """Serves a workload through the profiled engine under one policy."""
 
     def __init__(
@@ -205,42 +275,17 @@ class ServingSystem:
             raise ConfigurationError(
                 f"fault_rate must be in [0, 1), got {fault_rate}"
             )
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown scheduler policy {policy!r} "
-                f"(choose from {', '.join(POLICIES)})"
-            )
-        if isinstance(workload_profile, WorkloadProfile):
-            self.profile = workload_profile
-        else:
-            self.profile = profile_workload(
-                workload_profile, platform=platform, design=design
-            )
-        if n_ports is None:
-            n_ports = 2 if policy == "multi-port" else 1
-        if n_ports < 1:
-            raise ConfigurationError(f"n_ports must be >= 1, got {n_ports}")
-        if policy != "multi-port" and n_ports != 1:
-            raise ConfigurationError(
-                f"policy {policy!r} models the single configuration port; "
-                "use multi-port for n_ports > 1"
-            )
-        self.policy = policy
-        self.n_ports = n_ports
-        self.queue_depth = queue_depth
-        self.quantum = quantum
+        super().__init__(workload_profile, policy, n_ports, queue_depth,
+                         quantum, platform, design, recovery)
         #: Request-level fault model: probability any one RME execution
         #: attempt is struck by a hardware fault mid-scan.
         self.fault_rate = fault_rate
-        self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.fault_seed = fault_seed
-        #: The last run's registry (also returned inside the report).
-        self.metrics: Optional[MetricsRegistry] = None
 
     # -- the run -----------------------------------------------------------------
     def run(self, workload: Workload) -> ServingReport:
         """Serve the whole workload; returns the SLO report."""
-        self._validate_workload(workload)
+        self._check_workload(workload)
         sim = self.sim = Simulator()
         metrics = self.metrics = MetricsRegistry("serve")
         self._sched_stats = metrics.scope("scheduler")
@@ -259,14 +304,14 @@ class ServingSystem:
             spec.name: metrics.scope(f"tenant.{spec.name}")
             for spec in self.profile.tenants
         }
-        self.ports = [Port(index=i) for i in range(self.n_ports)]
-        self.scheduler: SchedulerPolicy = make_scheduler(
-            self.policy, self.ports, self.queue_depth, self._sched_stats,
-            self._descriptor_of, quantum=self.quantum,
+        self.scheduler = self._scheduler(
+            self._sched_stats,
+            lambda request: self._profile_of(request).descriptor,
         )
+        self.ports = self.scheduler.ports
         self.records: List[Request] = []
         self._arrivals_done = False
-        self._wake: Optional[Event] = None
+        self._wakeup = Wakeup(sim)
         self._completions: Dict[int, Event] = {}
         self._arrivals_seen = 0
         self._sheds_seen = 0
@@ -275,14 +320,8 @@ class ServingSystem:
                 self.fault_seed
             )
             self._fault_stats = metrics.scope("faults")
-            # Breakers are recovery machinery: a no-recovery baseline
-            # takes every fault on the chin instead of failing fast.
             self._breakers = {
-                spec.name: CircuitBreaker(
-                    self.recovery.breaker_threshold,
-                    self.recovery.breaker_cooldown_ns,
-                )
-                for spec in self.profile.tenants
+                spec.name: self._breaker() for spec in self.profile.tenants
             } if self.recovery.enabled else {}
         else:
             self._fault_rng = None
@@ -290,41 +329,18 @@ class ServingSystem:
             self._breakers = {}
 
         if isinstance(workload, OpenLoopWorkload):
-            arrival_kind = workload.arrival
             sim.process(
-                self._open_loop_driver(workload.schedule()), name="arrivals"
+                workload.drive(sim, self._arrive, self._end_arrivals),
+                name="arrivals",
             )
         else:
-            arrival_kind = "closed"
             self._start_clients(workload)
         for port in self.ports:
             sim.process(self._port_loop(port), name=f"port{port.index}")
         sim.run()
-        return self._build_report(arrival_kind)
-
-    def _validate_workload(self, workload: Workload) -> None:
-        for spec in workload.mix.tenants:
-            for template, _query in spec.templates:
-                self.profile.profile(spec.name, template)  # raises if absent
-
-    def _descriptor_of(self, request: Request) -> object:
-        return self.profile.profile(request.tenant, request.template).descriptor
+        return self._build_report(workload.arrival)
 
     # -- arrival side -----------------------------------------------------------
-    def _open_loop_driver(self, schedule: List[Arrival]):
-        for arrival in schedule:
-            gap = arrival.at_ns - self.sim.now
-            if gap > 0:
-                yield self.sim.timeout(gap)
-            self._arrive(Request(
-                index=arrival.index,
-                tenant=arrival.tenant,
-                template=arrival.template,
-                arrival_ns=self.sim.now,
-            ))
-        self._arrivals_done = True
-        self._kick()
-
     def _start_clients(self, workload: ClosedLoopWorkload) -> None:
         self._mix = workload.mix
         self._budget = workload.n_requests
@@ -342,7 +358,8 @@ class ServingSystem:
                 yield self.sim.timeout(rng.expovariate(1.0) * think_ns)
             index = self._next_index
             self._next_index += 1
-            tenant, template = self._pick(rng)
+            # Closed-loop clients sample the same weighted mix as open loop.
+            tenant, template = self._mix.sample(rng)
             request = Request(
                 index=index, tenant=tenant, template=template,
                 arrival_ns=self.sim.now,
@@ -353,12 +370,11 @@ class ServingSystem:
             yield done
         self._clients_left -= 1
         if self._clients_left == 0:
-            self._arrivals_done = True
-            self._kick()
+            self._end_arrivals()
 
-    def _pick(self, rng: random.Random):
-        # Closed-loop clients sample the same weighted mix as open loop.
-        return self._mix.sample(rng)
+    def _end_arrivals(self) -> None:
+        self._arrivals_done = True
+        self._wakeup.kick()
 
     def _arrive(self, request: Request) -> None:
         self.records.append(request)
@@ -373,7 +389,7 @@ class ServingSystem:
             self._complete(request)
             return
         self._publish_load_gauges()
-        self._kick()
+        self._wakeup.kick()
 
     def _publish_load_gauges(self) -> None:
         """Keep the load gauges current as the run progresses, so an
@@ -391,46 +407,17 @@ class ServingSystem:
             if request is None:
                 if self._arrivals_done and self.scheduler.backlog() == 0:
                     return
-                yield self._wake_event()
+                yield self._wakeup.wait()
                 continue
             self._publish_load_gauges()
             yield from self._execute(port, request)
 
     def _execute(self, port: Port, request: Request):
-        sim = self.sim
-        profile = self.profile.profile(request.tenant, request.template)
-        request.port = port.index
-        request.start_ns = sim.now
-        request.queue_ns = sim.now - request.arrival_ns
-        if self._fault_rng is not None:
-            yield from self._execute_faulty(port, request, profile)
-            return
-        if port.descriptor != profile.descriptor:
-            port.descriptor = profile.descriptor
-            port.switches += 1
-            self._sched_stats.bump("context_switches")
-            request.state = "cold"
-            request.reconfig_ns = profile.program_ns + profile.fill_ns
-        else:
-            self._sched_stats.bump("hot_hits")
-            request.state = "hot"
-            request.reconfig_ns = 0.0
-        request.exec_ns = profile.hot_ns
-        if request.reconfig_ns > 0:
-            yield sim.timeout(request.reconfig_ns)
-        yield sim.timeout(request.exec_ns)
-        request.finish_ns = sim.now
-        request.value = profile.value
-        port.served += 1
-        self._observe(request)
-        self._complete(request)
-        self._kick()
-
-    def _execute_faulty(self, port: Port, request: Request, profile):
-        """Service under the request-level fault model.
+        """Serve one request under the request-level fault model.
 
         Each RME execution attempt is struck with probability
-        ``fault_rate``; a struck attempt's time is wasted and recovery
+        ``fault_rate`` (a fault-free run has no fault RNG, so no attempt
+        is ever struck); a struck attempt's time is wasted and recovery
         retries pay a refill plus backoff. A tenant whose circuit breaker
         is open skips the engine entirely and goes straight to the CPU
         row-scan — answers stay byte-identical (the profiler asserted the
@@ -438,39 +425,28 @@ class ServingSystem:
         """
         sim = self.sim
         policy = self.recovery
+        profile = self._profile_of(request)
+        request.port = port.index
+        request.start_ns = sim.now
+        request.queue_ns = sim.now - request.arrival_ns
         breaker = self._breakers.get(request.tenant)
         if breaker is not None and not breaker.allow(sim.now):
             self._fault_stats.bump("breaker_rejects")
-            if policy.cpu_fallback:
-                yield from self._serve_direct(port, request, profile)
-            else:
-                self._fail_request(request)
+            yield from self._give_up(port, request, profile)
             return
-        if port.descriptor != profile.descriptor:
-            port.descriptor = profile.descriptor
-            port.switches += 1
-            self._sched_stats.bump("context_switches")
-            request.state = "cold"
-            request.reconfig_ns = profile.program_ns + profile.fill_ns
-        else:
-            self._sched_stats.bump("hot_hits")
-            request.state = "hot"
-            request.reconfig_ns = 0.0
+        request.reconfig_ns = program_port(port, profile, self._sched_stats)
+        request.state = "cold" if request.reconfig_ns > 0 else "hot"
         if request.reconfig_ns > 0:
             yield sim.timeout(request.reconfig_ns)
         attempt = 0
         while True:
             yield sim.timeout(profile.hot_ns)
             request.exec_ns += profile.hot_ns
-            if self._fault_rng.random() >= self.fault_rate:
+            if (self._fault_rng is None
+                    or self._fault_rng.random() >= self.fault_rate):
                 if breaker is not None:
                     breaker.record_success(sim.now)
-                request.finish_ns = sim.now
-                request.value = profile.value
-                port.served += 1
-                self._observe(request)
-                self._complete(request)
-                self._kick()
+                self._answer(port, request, profile)
                 return
             # A fault struck this attempt mid-scan: the time is wasted.
             self._fault_stats.bump("fault_events")
@@ -489,38 +465,36 @@ class ServingSystem:
             # Retry budget exhausted: the engine state is suspect, so the
             # next request on this port re-programs from scratch.
             port.descriptor = None
-            if policy.cpu_fallback:
-                yield from self._serve_direct(port, request, profile)
-            else:
-                self._fail_request(request)
+            yield from self._give_up(port, request, profile)
             return
 
-    def _serve_direct(self, port: Port, request: Request, profile):
-        """Degraded mode: answer from the base table with a CPU row-scan."""
-        request.state = "degraded"
-        request.degraded = True
-        self._fault_stats.bump("fallbacks")
-        yield self.sim.timeout(profile.direct_ns)
-        request.exec_ns += profile.direct_ns
-        request.finish_ns = self.sim.now
-        request.value = profile.value
-        port.served += 1
-        self._tenant_stats[request.tenant].bump("degraded")
-        self._observe(request)
-        self._complete(request)
-        self._kick()
-
-    def _fail_request(self, request: Request) -> None:
-        """Give up on a request: no answer, counted against availability."""
+    def _give_up(self, port: Port, request: Request, profile: QueryProfile):
+        """The engine will not answer: degrade to a CPU row-scan of the
+        base table, or — with the fallback off — fail the request, which
+        counts against availability."""
+        tstats = self._tenant_stats[request.tenant]
+        if self.recovery.cpu_fallback:
+            request.state = "degraded"
+            request.degraded = True
+            self._fault_stats.bump("fallbacks")
+            yield self.sim.timeout(profile.direct_ns)
+            request.exec_ns += profile.direct_ns
+            tstats.bump("degraded")
+            self._answer(port, request, profile)
+            return
         request.failed = True
         request.state = "failed"
         request.finish_ns = self.sim.now
-        self._tenant_stats[request.tenant].bump("failed")
+        tstats.bump("failed")
         self._fault_stats.bump("failed")
         self._complete(request)
-        self._kick()
+        self._wakeup.kick()
 
-    def _observe(self, request: Request) -> None:
+    def _answer(self, port: Port, request: Request,
+                profile: QueryProfile) -> None:
+        request.finish_ns = self.sim.now
+        request.value = profile.value
+        port.served += 1
         tstats = self._tenant_stats[request.tenant]
         tstats.bump("served")
         tstats.observe("latency_ns", request.latency_ns)
@@ -528,41 +502,31 @@ class ServingSystem:
         tstats.bump("reconfig_ns", request.reconfig_ns)
         tstats.bump("exec_ns", request.exec_ns)
         self._slo_stats.observe("latency_ns", request.latency_ns)
+        self._complete(request)
+        self._wakeup.kick()
 
     def _complete(self, request: Request) -> None:
         done = self._completions.pop(request.index, None)
         if done is not None:
             done.succeed(request)
 
-    # -- wake/idle plumbing --------------------------------------------------------
-    def _wake_event(self) -> Event:
-        if self._wake is None or self._wake.triggered:
-            self._wake = self.sim.event()
-        return self._wake
-
-    def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
-
     # -- reporting ---------------------------------------------------------------
     def _build_report(self, arrival_kind: str) -> ServingReport:
         duration = self.sim.now
-        seconds = duration / 1e9 if duration else 0.0
         tenants: List[TenantSLO] = []
         for spec in self.profile.tenants:
             stats = self._tenant_stats[spec.name]
             latency = stats.histogram("latency_ns")
-            served = stats.count("served")
             tenants.append(TenantSLO(
                 tenant=spec.name,
                 arrivals=stats.count("arrivals"),
-                served=served,
+                served=stats.count("served"),
                 shed=stats.count("shed"),
                 p50_ns=latency.percentile(50),
                 p95_ns=latency.percentile(95),
                 p99_ns=latency.percentile(99),
                 mean_ns=latency.mean,
-                throughput_qps=served / seconds if seconds else 0.0,
+                duration_ns=duration,
                 degraded=stats.count("degraded"),
                 failed=stats.count("failed"),
             ))

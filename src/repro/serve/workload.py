@@ -29,8 +29,8 @@ processes inside the serving simulation instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..query.queries import Query, q1, q2, q4
@@ -197,6 +197,25 @@ class OpenLoopWorkload:
             tenant, template = self.mix.sample(rng)
             arrivals.append(Arrival(index, now, tenant, template))
         return arrivals
+
+    def drive(self, sim, arrive: Callable[[Request], None],
+              done: Callable[[], None]):
+        """A simulator process replaying :meth:`schedule` in simulated time.
+
+        At each arrival's instant ``arrive`` receives a fresh
+        :class:`Request`; ``done`` runs once the schedule is exhausted.
+        """
+        for arrival in self.schedule():
+            gap = arrival.at_ns - sim.now
+            if gap > 0:
+                yield sim.timeout(gap)
+            arrive(Request(
+                index=arrival.index,
+                tenant=arrival.tenant,
+                template=arrival.template,
+                arrival_ns=sim.now,
+            ))
+        done()
 
 
 class ClosedLoopWorkload:

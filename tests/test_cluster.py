@@ -132,6 +132,11 @@ def test_cluster_validates_inputs(profile):
         ClusterSystem(prof, routing="bogus")
     with pytest.raises(ConfigurationError, match="n_nodes"):
         ClusterSystem(prof, n_nodes=0)
+    # The port-count rules are the serving tier's, checked up front.
+    with pytest.raises(ConfigurationError, match="n_ports must be >= 1"):
+        ClusterSystem(prof, policy="multi-port", n_ports=0)
+    with pytest.raises(ConfigurationError, match="single configuration port"):
+        ClusterSystem(prof, policy="fcfs", n_ports=2)
     with pytest.raises(ConfigurationError, match="node-level kinds"):
         ClusterSystem(prof, fault_plan=FaultPlan(
             events=(FaultEvent(kind="dram_bitflip", at_ns=0.0),)

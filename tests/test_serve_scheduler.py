@@ -138,3 +138,33 @@ def test_multi_port_balances_unknown_descriptors():
     for i in range(4):
         sched.admit(request(i, tenant=f"t{i}"))  # nobody holds these
     assert len(drain(sched, 0)) + len(drain(sched, 1)) == 4
+
+
+# -- the shared port step -----------------------------------------------------------
+
+
+def test_program_port_charges_switches_and_not_hot_hits():
+    from types import SimpleNamespace
+
+    from repro.serve.scheduler import program_port
+
+    profile = SimpleNamespace(descriptor="a", program_ns=3.0, fill_ns=5.0)
+    port, stats = Port(index=0), StatSet("scheduler")
+    assert program_port(port, profile, stats) == 8.0
+    assert program_port(port, profile, stats) == 0.0
+    assert port.descriptor == "a" and port.switches == 1
+    assert stats.count("context_switches") == 1
+    assert stats.count("hot_hits") == 1
+
+
+def test_wakeup_resumes_one_parked_event_per_kick():
+    from repro.serve.scheduler import Wakeup
+    from repro.sim import Simulator
+
+    wakeup = Wakeup(Simulator())
+    wakeup.kick()  # nobody parked: a no-op
+    first = wakeup.wait()
+    assert wakeup.wait() is first and not first.triggered
+    wakeup.kick()
+    assert first.triggered
+    assert wakeup.wait() is not first
