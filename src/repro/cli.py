@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -57,7 +58,7 @@ from .query.executor import QueryExecutor
 from .query.sql import parse_query
 from .rme.designs import ALL_DESIGNS, design_by_name
 from .rme.resources import estimate_resources
-from .serve.scheduler import policy_names
+from .serve.scheduler import check_policy, policy_names
 from .sim.trace import write_chrome_trace
 
 
@@ -77,72 +78,79 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
 
-#: figure name -> (driver kwargs builder, normalizer)
-_FIGURES: Dict[str, Callable] = {
-    "fig01": lambda rows: figure_drivers.fig01_projectivity(),
-    "fig06": lambda rows: figure_drivers.fig06_q1_designs(n_rows=rows),
-    "fig07": lambda rows: figure_drivers.fig07_cache_stats(n_rows=2 * rows),
-    "fig08": lambda rows: figure_drivers.fig08_offset_sweep(n_rows=max(128, rows // 4)),
-    "fig09": lambda rows: figure_drivers.fig09_projection_colsize(n_rows=rows),
-    "fig10": lambda rows: figure_drivers.fig10_projection_rowsize(n_rows=rows),
-    "fig11": lambda rows: figure_drivers.fig11_agg_colsize(n_rows=rows),
-    "fig12": lambda rows: figure_drivers.fig12_agg_rowsize(n_rows=rows),
-    "fig13a": lambda rows: figure_drivers.fig13_q7_locality(n_rows=rows, sweep="col"),
-    "fig13b": lambda rows: figure_drivers.fig13_q7_locality(n_rows=rows, sweep="row"),
+
+def _same(rows: int) -> int:
+    return rows
+
+
+def _double(rows: int) -> int:
+    return 2 * rows
+
+
+def _half(rows: int) -> int:
+    return max(128, rows // 2)
+
+
+def _quarter(rows: int) -> int:
+    return max(128, rows // 4)
+
+
+@dataclasses.dataclass(frozen=True)
+class FigureSpec:
+    """One figure driver and how the CLI runs it.
+
+    ``scale_rows`` maps ``--rows`` to the driver's ``rows_arg`` keyword
+    (None: the driver sizes itself). ``repro figures`` and ``repro
+    bench`` scale rows through the same spec, so ``repro bench NAME
+    --jobs 1`` matches ``repro figures NAME`` point for point.
+    """
+
+    driver: Callable
+    scale_rows: Optional[Callable[[int], int]] = _same
+    jobs: bool = False  #: the driver shards across processes (``bench``)
+    smoke: bool = False  #: the driver has a CI-sized ``--smoke`` grid
+    rows_arg: str = "n_rows"
+    normalize: str = ""  #: series the rendered table is normalized to
+
+    def run(self, rows: int, **kwargs):
+        if self.scale_rows is not None:
+            kwargs[self.rows_arg] = self.scale_rows(rows)
+        return self.driver(**kwargs)
+
+
+#: Every figure the CLI runs, in presentation order.
+_FIGURES: Dict[str, FigureSpec] = {
+    "fig01": FigureSpec(figure_drivers.fig01_projectivity, None, jobs=True),
+    "fig06": FigureSpec(figure_drivers.fig06_q1_designs, jobs=True, normalize="Direct"),
+    "fig07": FigureSpec(figure_drivers.fig07_cache_stats, _double),
+    "fig08": FigureSpec(figure_drivers.fig08_offset_sweep, _quarter, jobs=True),
+    "fig09": FigureSpec(figure_drivers.fig09_projection_colsize),
+    "fig10": FigureSpec(figure_drivers.fig10_projection_rowsize),
+    "fig11": FigureSpec(figure_drivers.fig11_agg_colsize),
+    "fig12": FigureSpec(figure_drivers.fig12_agg_rowsize),
+    "fig13a": FigureSpec(functools.partial(figure_drivers.fig13_q7_locality, sweep="col")),
+    "fig13b": FigureSpec(functools.partial(figure_drivers.fig13_q7_locality, sweep="row")),
     # Extension studies (DESIGN.md section 8).
-    "ext-capacity": lambda rows: extension_drivers.ext_capacity_cliff(n_rows=rows),
-    "ext-pushdown": lambda rows: extension_drivers.ext_pushdown_ladder(n_rows=rows),
-    "ext-hybrid": lambda rows: extension_drivers.ext_hybrid_crossover(n_rows=rows),
-    "ext-isolation": lambda rows: extension_drivers.ext_isolation(n_rows=rows),
-    "ext-multirun": lambda rows: extension_drivers.ext_noncontiguous_tradeoff(n_rows=rows),
-    "ext-serving": lambda rows: extension_drivers.ext_serving_sweep(
-        n_rows=max(128, rows // 2)),
-    "ext-faults": lambda rows: extension_drivers.ext_faults_sweep(
-        n_rows=max(128, rows // 2)),
-    "ext-pim": lambda rows: extension_drivers.ext_pim_shootout(n_rows=rows),
-    "ext-pim-join": lambda rows: extension_drivers.ext_pim_join_shootout(
-        n_fact=2 * rows),
-    "ext-pim-groupby": lambda rows: extension_drivers.ext_pim_groupby_shootout(
-        n_rows=2 * rows),
-    "ext-cluster": lambda rows: extension_drivers.ext_cluster_sweep(
-        n_rows=max(128, rows // 2)),
+    "ext-capacity": FigureSpec(extension_drivers.ext_capacity_cliff),
+    "ext-pushdown": FigureSpec(extension_drivers.ext_pushdown_ladder),
+    "ext-hybrid": FigureSpec(extension_drivers.ext_hybrid_crossover),
+    "ext-isolation": FigureSpec(extension_drivers.ext_isolation),
+    "ext-multirun": FigureSpec(extension_drivers.ext_noncontiguous_tradeoff),
+    "ext-serving": FigureSpec(extension_drivers.ext_serving_sweep, _half, jobs=True),
+    "ext-faults": FigureSpec(extension_drivers.ext_faults_sweep, _half, jobs=True),
+    "ext-pim": FigureSpec(extension_drivers.ext_pim_shootout, jobs=True, smoke=True),
+    "ext-pim-join": FigureSpec(extension_drivers.ext_pim_join_shootout, _double,
+                               jobs=True, smoke=True, rows_arg="n_fact"),
+    "ext-pim-groupby": FigureSpec(extension_drivers.ext_pim_groupby_shootout, _double,
+                                  jobs=True, smoke=True),
+    "ext-cluster": FigureSpec(extension_drivers.ext_cluster_sweep, _half, jobs=True,
+                              smoke=True),
 }
 
-#: Sweeps whose drivers shard across processes; same row scaling as
-#: ``_FIGURES`` so ``repro bench NAME --jobs 1`` matches ``repro figures
-#: NAME`` point for point.
-_PARALLEL_FIGURES: Dict[str, Callable] = {
-    "fig01": lambda rows, jobs: figure_drivers.fig01_projectivity(jobs=jobs),
-    "fig06": lambda rows, jobs: figure_drivers.fig06_q1_designs(
-        n_rows=rows, jobs=jobs),
-    "fig08": lambda rows, jobs: figure_drivers.fig08_offset_sweep(
-        n_rows=max(128, rows // 4), jobs=jobs),
-    "ext-serving": lambda rows, jobs: extension_drivers.ext_serving_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs),
-    "ext-faults": lambda rows, jobs: extension_drivers.ext_faults_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs),
-    "ext-pim": lambda rows, jobs: extension_drivers.ext_pim_shootout(
-        n_rows=rows, jobs=jobs),
-    "ext-pim-join": lambda rows, jobs: extension_drivers.ext_pim_join_shootout(
-        n_fact=2 * rows, jobs=jobs),
-    "ext-pim-groupby": lambda rows, jobs:
-        extension_drivers.ext_pim_groupby_shootout(n_rows=2 * rows, jobs=jobs),
-    "ext-cluster": lambda rows, jobs: extension_drivers.ext_cluster_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs),
-}
 
-#: Sweeps with a CI-sized ``--smoke`` grid.
-_SMOKE_FIGURES: Dict[str, Callable] = {
-    "ext-pim": lambda rows, jobs: extension_drivers.ext_pim_shootout(
-        n_rows=rows, jobs=jobs, smoke=True),
-    "ext-pim-join": lambda rows, jobs: extension_drivers.ext_pim_join_shootout(
-        n_fact=2 * rows, jobs=jobs, smoke=True),
-    "ext-pim-groupby": lambda rows, jobs:
-        extension_drivers.ext_pim_groupby_shootout(
-            n_rows=2 * rows, jobs=jobs, smoke=True),
-    "ext-cluster": lambda rows, jobs: extension_drivers.ext_cluster_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs, smoke=True),
-}
+def _figures_with(flag: str) -> List[str]:
+    """Registered figures whose spec sets ``flag`` (``jobs``/``smoke``)."""
+    return [name for name, spec in _FIGURES.items() if getattr(spec, flag)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench", help="run one shardable sweep across worker processes")
     bench.add_argument(
         "name",
-        help=f"sweep to run (one of {', '.join(_PARALLEL_FIGURES)})",
+        help=f"sweep to run (one of {', '.join(_figures_with('jobs'))})",
     )
     bench.add_argument("--jobs", type=int, default=1,
                        help="worker processes; output is bit-identical to "
@@ -182,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(byte-comparable across --jobs values)")
     bench.add_argument("--smoke", action="store_true",
                        help="run the sweep's CI-sized smoke grid "
-                            f"(supported by {', '.join(_SMOKE_FIGURES)})")
+                            f"(supported by "
+                            f"{', '.join(_figures_with('smoke'))})")
     bench.add_argument("--explain", action="store_true",
                        help="print the engine-annotated IR plan tree for "
                             "the sweep's queries and exit without running")
@@ -194,17 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with --explain: plan this ad-hoc query instead "
                             "of the sweep's built-in templates")
 
-    query = commands.add_parser("query", help="run an ad-hoc SQL query")
-    query.add_argument("sql", help='e.g. "SELECT SUM(A1) FROM S WHERE A2 > 0"')
-    query.add_argument("--rows", type=int, default=2048,
-                       help="rows in the generated relation S (default 2048)")
-    query.add_argument("--cols", type=int, default=16,
-                       help="columns in S (default 16)")
-    query.add_argument("--width", type=int, default=4,
-                       help="bytes per column (default 4)")
-    query.add_argument("--seed", type=int, default=42)
-
-    def _adhoc_args(sub):
+    def _relation_args(sub):
         sub.add_argument("sql", help='e.g. "SELECT SUM(A1) FROM S WHERE A2 > 0"')
         sub.add_argument("--rows", type=int, default=2048,
                          help="rows in the generated relation S (default 2048)")
@@ -213,6 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--width", type=int, default=4,
                          help="bytes per column (default 4)")
         sub.add_argument("--seed", type=int, default=42)
+
+    _relation_args(commands.add_parser("query", help="run an ad-hoc SQL query"))
+
+    def _adhoc_args(sub):
+        _relation_args(sub)
         sub.add_argument("--design", default="MLP",
                          help="BSL, PCK or MLP (default MLP)")
         sub.add_argument("--hot", action="store_true",
@@ -417,9 +421,9 @@ def _cmd_figures(args, out) -> int:
         csv_dir = pathlib.Path(args.csv)
         csv_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        result = _FIGURES[name](args.rows)
-        normalize = "Direct" if name == "fig06" else ""
-        print(render_figure(result, normalized_to=normalize), file=out)
+        spec = _FIGURES[name]
+        result = spec.run(args.rows)
+        print(render_figure(result, normalized_to=spec.normalize), file=out)
         print(file=out)
         if csv_dir is not None:
             path = csv_dir / f"{name}.csv"
@@ -450,6 +454,14 @@ def _engine_or_usage(name: str, prog: str):
             f"{prog}: unknown engine {name!r} "
             f"(choose from {', '.join(engine_names())})"
         )
+
+
+def _policy_or_usage(policy: str, prog: str) -> None:
+    """Check ``--policy NAME`` against the scheduler registry."""
+    try:
+        check_policy(policy)
+    except ConfigurationError as exc:
+        raise _UsageError(f"{prog}: {exc}")
 
 
 def _bench_explain_queries(name: str):
@@ -556,9 +568,10 @@ def _cmd_bench(args, out) -> int:
     from .bench.report import to_csv
     from .parallel import resolve_jobs
 
-    if args.name not in _PARALLEL_FIGURES:
+    sweeps = _figures_with("jobs")
+    if args.name not in sweeps:
         print(f"unknown sweep: {args.name!r} "
-              f"(choose from {', '.join(_PARALLEL_FIGURES)}; "
+              f"(choose from {', '.join(sweeps)}; "
               f"--explain previews any sweep's IR plan)", file=out)
         return 2
     if args.explain:
@@ -567,17 +580,16 @@ def _cmd_bench(args, out) -> int:
         raise _UsageError(
             "repro bench: --engine/--sql only apply with --explain"
         )
-    if args.smoke and args.name not in _SMOKE_FIGURES:
+    spec = _FIGURES[args.name]
+    if args.smoke and not spec.smoke:
         raise _UsageError(
             f"repro bench: --smoke is only supported for "
-            f"{', '.join(_SMOKE_FIGURES)}"
+            f"{', '.join(_figures_with('smoke'))}"
         )
     jobs = resolve_jobs(args.jobs)
-    driver = _SMOKE_FIGURES[args.name] if args.smoke \
-        else _PARALLEL_FIGURES[args.name]
-    result = driver(args.rows, jobs)
-    normalize = "Direct" if args.name == "fig06" else ""
-    print(render_figure(result, normalized_to=normalize), file=out)
+    result = (spec.run(args.rows, jobs=jobs, smoke=True) if args.smoke
+              else spec.run(args.rows, jobs=jobs))
+    print(render_figure(result, normalized_to=spec.normalize), file=out)
     print(f"jobs: {jobs}  shards: {len(result.xs)}", file=out)
     if args.csv is not None:
         path = pathlib.Path(args.csv)
@@ -796,11 +808,7 @@ def _cmd_serve(args, out) -> int:
         profile_workload,
     )
 
-    if args.policy not in policy_names():
-        raise _UsageError(
-            f"repro serve: unknown scheduler policy {args.policy!r} "
-            f"(choose from {', '.join(policy_names())})"
-        )
+    _policy_or_usage(args.policy, "repro serve")
     platform = _platform_from_overrides(args.config)
     design = design_by_name(args.design)
     tenants = default_tenants(
@@ -875,11 +883,7 @@ def _cmd_cluster(args, out) -> int:
     from .cluster import ClusterSystem
     from .serve import OpenLoopWorkload, default_tenants, profile_workload
 
-    if args.policy not in policy_names():
-        raise _UsageError(
-            f"repro cluster: unknown scheduler policy {args.policy!r} "
-            f"(choose from {', '.join(policy_names())})"
-        )
+    _policy_or_usage(args.policy, "repro cluster")
     if args.routing not in routing_names():
         raise _UsageError(
             f"repro cluster: unknown routing policy {args.routing!r} "
