@@ -78,6 +78,9 @@ class LoadedIndex:
     index: Any  #: BPlusTreeIndex
     region: Region
     table: "LoadedTable"
+    #: Physical rows the tree was built over; rows appended since (new
+    #: MVCC versions) are not in it.
+    covered_rows: int = 0
 
     @property
     def base_addr(self) -> int:
@@ -315,7 +318,8 @@ class RelationalMemorySystem:
             self._padded(index.nbytes),
         )
         self.hierarchy.add_backend(region, self._dram_backend)
-        return LoadedIndex(index=index, region=region, table=loaded)
+        return LoadedIndex(index=index, region=region, table=loaded,
+                           covered_rows=loaded.table.n_rows)
 
     # -- ephemeral variables ---------------------------------------------------------------
     def register_var(

@@ -337,7 +337,11 @@ class QueryExecutor:
                 f"indexed column {index.column!r}"
             )
         low, high, inclusive = bounds
-        row_ids = index.range(low, high, inclusive)
+        # Rows appended after the tree was built (versions committed
+        # since) are not in it: each is considered too, one point touch
+        # apiece, and the residual filter and visibility mask decide.
+        row_ids = index.range(low, high, inclusive) + list(
+            range(loaded_index.covered_rows, loaded.table.n_rows))
 
         # Functional answer over exactly the matched rows. The tree holds
         # physical row ids, so on an MVCC table only the versions visible

@@ -272,3 +272,27 @@ def test_index_path_sees_only_visible_versions():
     query = Query(name="k", sql="", select=("K", "V"), predicate=Col("K") >= 5)
     assert sorted(executor.run_index(query, loaded, index).value) == [
         (5, 105), (6, 206)]
+
+
+def test_index_path_sees_versions_committed_after_the_build():
+    """A version committed after ``load_index`` lands past the rows the
+    tree covers; the index path still answers exactly as the direct scan
+    does instead of returning the stale pre-update state."""
+    from repro.storage import Column, Schema, int32
+    from repro.storage.mvcc import TransactionManager, VersionedRowTable
+
+    table = VersionedRowTable(
+        "v", Schema([Column("K", int32()), Column("V", int32())]))
+    manager = TransactionManager(table)
+    for k in range(8):
+        manager.insert([k, 100 + k])
+    system = RelationalMemorySystem()
+    loaded = system.load_table(table, manager)
+    index = system.load_index(loaded, "K")
+    manager.update(6, [6, 999])
+    executor = QueryExecutor(system)
+    query = Query(name="k", sql="", select=("K", "V"), predicate=Col("K") >= 5)
+    direct = executor.run_direct(query, loaded).value
+    assert sorted(direct) == [(5, 105), (6, 999), (7, 107)]
+    assert sorted(executor.run_index(query, loaded, index).value) == sorted(
+        direct)
