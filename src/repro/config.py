@@ -274,11 +274,13 @@ class ParallelConfig:
     pickling, no cache shipment, bit-identical results (the GIL limits
     speedup, but fork-hostile platforms and small sweeps avoid the
     process-pool startup loss entirely); ``"inline"`` forces the
-    reference loop. ``"auto"`` (default) selects by measured break-even:
-    inline below ``inline_below`` items, thread between ``inline_below``
-    and ``process_below`` items or whenever ``fork`` is unavailable
-    (spawn re-imports the world per worker, which is what made small
-    hosts lose), process otherwise.
+    reference loop. ``"auto"`` (default) decides by a measured break-even
+    probe: below ``inline_below`` items it stays inline; otherwise it
+    times the first item inline, estimates the remaining work from it,
+    and picks the process pool (or, where ``fork`` is unavailable, the
+    thread pool) only when the parallel savings over
+    ``min(jobs, usable cores)`` outweigh the measured pool spin-up and
+    batch round-trip. A host with one usable core always stays inline.
     """
 
     jobs: "int | None" = None
@@ -291,20 +293,12 @@ class ParallelConfig:
     ship_caches: bool = True
     #: Shard executor: "auto" | "process" | "thread" | "inline".
     mode: str = "auto"
-    #: Auto-mode break-even: sweeps with fewer items than this use the
-    #: thread pool (process pool spin-up still dominates there), larger
-    #: ones pay it off and fork real workers.
-    process_below: int = 8
 
     def validate(self) -> None:
         if self.mode not in PARALLEL_MODES:
             raise ConfigurationError(
                 f"unknown parallel mode {self.mode!r} "
                 f"(choose from {', '.join(PARALLEL_MODES)})"
-            )
-        if self.process_below < 1:
-            raise ConfigurationError(
-                f"process_below must be >= 1, got {self.process_below}"
             )
         if self.jobs is not None and self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
