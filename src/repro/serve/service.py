@@ -308,7 +308,6 @@ class ServingSystem(ServingTier):
             self._sched_stats,
             lambda request: self._profile_of(request).descriptor,
         )
-        self.ports = self.scheduler.ports
         self.records: List[Request] = []
         self._arrivals_done = False
         self._wakeup = Wakeup(sim)
@@ -335,7 +334,7 @@ class ServingSystem(ServingTier):
             )
         else:
             self._start_clients(workload)
-        for port in self.ports:
+        for port in self.scheduler.ports:
             sim.process(self._port_loop(port), name=f"port{port.index}")
         sim.run()
         return self._build_report(workload.arrival)
