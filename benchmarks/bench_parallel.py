@@ -34,8 +34,9 @@ MIN_CORES_FOR_FLOOR = 4
 
 def _sweep_kwargs():
     if QUICK:
-        # Four points: stays above ParallelConfig.inline_below so the
-        # quick mode still exercises the pool it is benchmarking.
+        # Four points: at the parallel layer's inline floor of four
+        # shards, so the quick mode still exercises the pool it is
+        # benchmarking.
         return dict(n_rows=512, widths=(1, 4, 8, 16))
     return dict(n_rows=2048)
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import PlatformConfig, ZCU102
 from ..core.relmem import RelationalMemorySystem
+from ..memo import Memo
 from ..query.engines import COLUMNAR, CPU, RME
 from ..query.executor import QueryResult
 from ..query.processor import Processor
@@ -89,13 +90,11 @@ class FigureResult:
 #: columnar paths contain no RME epochs, so the fast-forward layer cannot
 #: collapse them from inside; instead they are *recorded* the first time
 #: they run (at cycle level — any run populates the memo) and *replayed*
-#: verbatim when ``platform.fastpath`` is set. Replay is trivially
-#: bit-identical: the stored :class:`QueryResult` is the cycle-level one.
-_BASELINE_MEMO: Dict[tuple, QueryResult] = {}
-_BASELINE_MEMO_MAX = 128
-
-#: Hit/miss tallies for the ``repro perf --profile`` report.
-BASELINE_MEMO_TALLY: Dict[str, int] = {"hits": 0, "misses": 0}
+#: verbatim when ``platform.fastpath`` is set, which is the only time the
+#: memo is looked up (so its hits/misses feed ``repro perf --profile``).
+#: Replay is trivially bit-identical: the stored :class:`QueryResult` is
+#: the cycle-level one.
+BASELINE_MEMO = Memo(128)
 
 
 def _baseline_key(
@@ -119,24 +118,14 @@ def _baseline_key(
 
 def _baseline_replay(key: tuple, fastpath: bool) -> Optional[QueryResult]:
     """The recorded measurement for ``key``, if replay is allowed."""
-    if not fastpath:
-        return None
-    result = _BASELINE_MEMO.get(key)
+    result = BASELINE_MEMO.get(key) if fastpath else None
     if result is None:
-        BASELINE_MEMO_TALLY["misses"] += 1
         return None
-    BASELINE_MEMO_TALLY["hits"] += 1
     # Shallow-copy so a caller mutating ``cache_stats`` cannot poison the
     # recording for later replays.
     return dataclasses.replace(
         result, cache_stats={k: dict(v) for k, v in result.cache_stats.items()}
     )
-
-
-def _baseline_record(key: tuple, result: QueryResult) -> None:
-    if len(_BASELINE_MEMO) >= _BASELINE_MEMO_MAX:
-        _BASELINE_MEMO.pop(next(iter(_BASELINE_MEMO)))
-    _BASELINE_MEMO[key] = result
 
 
 class ExperimentRunner:
@@ -176,7 +165,7 @@ class ExperimentRunner:
         processor = Processor(system)
         plan = processor.plan(query, loaded, engine=CPU)
         result = processor.execute(plan.relation, loaded=loaded)
-        _baseline_record(key, result)
+        BASELINE_MEMO.put(key, result)
         return result
 
     def time_columnar(
@@ -203,7 +192,7 @@ class ExperimentRunner:
                               fetch_columns=columns)
         result = processor.execute(plan.relation, loaded=loaded,
                                    columnar=columnar)
-        _baseline_record(key, result)
+        BASELINE_MEMO.put(key, result)
         return result
 
     def time_rme(

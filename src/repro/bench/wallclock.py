@@ -162,10 +162,9 @@ class WallclockReport:
             ))
         else:
             lines.append("no fastpath fallbacks: every epoch fast-forwarded")
-        from .runner import BASELINE_MEMO_TALLY
+        from .runner import BASELINE_MEMO
 
-        hits = BASELINE_MEMO_TALLY["hits"]
-        misses = BASELINE_MEMO_TALLY["misses"]
+        hits, misses = BASELINE_MEMO.snapshot()
         if hits or misses:
             lines.append(
                 f"CPU-baseline measurement memo: {hits} replayed, "

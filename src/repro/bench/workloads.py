@@ -16,6 +16,7 @@ import random
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..memo import Memo
 from ..storage.row_table import RowTable
 from ..storage.schema import Column, Schema, intn, listing1_schema, uniform_schema
 
@@ -25,15 +26,8 @@ _RANGES = {1: 100, 2: 10_000, 4: 1_000_000, 8: 1_000_000_000}
 #: Packed-row cache of previously generated relations. The generators are
 #: deterministic in their parameters, so the packed bytes can be reused;
 #: :meth:`RowTable.from_raw` copies them, keeping each returned table
-#: independently mutable. Bounded FIFO — the sweeps use a handful of keys.
-_PACKED_CACHE: dict = {}
-_PACKED_CACHE_MAX = 64
-
-
-def _cache_put(key, raw: bytes) -> None:
-    if len(_PACKED_CACHE) >= _PACKED_CACHE_MAX:
-        _PACKED_CACHE.pop(next(iter(_PACKED_CACHE)))
-    _PACKED_CACHE[key] = raw
+#: independently mutable. The sweeps use a handful of keys.
+_PACKED_CACHE = Memo(64)
 
 
 def make_relation(
@@ -56,7 +50,7 @@ def make_relation(
     bound = _RANGES.get(col_width, 1_000_000_000)
     for _ in range(n_rows):
         table.append([rng.randint(-bound, bound) for _ in range(n_cols)])
-    _cache_put(key, table.raw_bytes())
+    _PACKED_CACHE.put(key, table.raw_bytes())
     return table
 
 
@@ -114,7 +108,7 @@ def make_join_tables(
     for _ in range(n_fact):
         fact.append([rng.randrange(n_dim), rng.randint(-bound, bound),
                      rng.randint(-bound, bound)])
-    _cache_put(key, (dim.raw_bytes(), fact.raw_bytes()))
+    _PACKED_CACHE.put(key, (dim.raw_bytes(), fact.raw_bytes()))
     return dim, fact
 
 
@@ -142,7 +136,7 @@ def make_grouped_relation(
     for _ in range(n_rows):
         table.append([rng.randrange(n_groups), rng.randint(-bound, bound),
                       rng.randint(-bound, bound)])
-    _cache_put(key, table.raw_bytes())
+    _PACKED_CACHE.put(key, table.raw_bytes())
     return table
 
 
@@ -169,5 +163,5 @@ def make_listing1_table(n_rows: int, seed: int = 42) -> RowTable:
                 rng.randint(-1_000_000, 1_000_000),
             ]
         )
-    _cache_put(key, table.raw_bytes())
+    _PACKED_CACHE.put(key, table.raw_bytes())
     return table

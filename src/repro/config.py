@@ -245,80 +245,6 @@ class PlatformConfig:
 #: Default platform used throughout the library and the benchmarks.
 ZCU102 = PlatformConfig()
 
-#: Shard-executor modes accepted by :class:`ParallelConfig` and
-#: :func:`repro.parallel.parallel_map`.
-PARALLEL_MODES = ("auto", "process", "thread", "inline")
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs of the sharded execution layer (:mod:`repro.parallel`).
-
-    ``jobs`` is the worker-process count (``None`` = decide at dispatch
-    time from :func:`os.cpu_count`, ``1`` = run every shard inline in
-    shard order — the reference execution every parallel run must match
-    bit-for-bit). ``batch_size`` groups tasks per dispatch to amortize
-    pickling (``None`` = one balanced batch per worker).
-    ``max_restarts`` is the crashed-worker budget: a pool that loses a
-    process is rebuilt and the lost batches resubmitted at most this many
-    times before the remainder falls back to inline execution — the same
-    budgeted-restart stance as :class:`repro.faults.RecoveryPolicy`.
-    ``inline_below`` is the break-even floor: with fewer items than this,
-    a multi-job dispatch runs inline instead (pool spin-up dominates tiny
-    sweeps — the wall-clock benchmark measured 0.97× at two items), and
-    the decision is recorded as the ``parallel_inline_fallback`` counter.
-    ``1`` disables the fallback.
-
-    ``mode`` picks the shard executor. ``"process"`` is the fork pool;
-    ``"thread"`` runs batches on a thread pool in-process — no fork, no
-    pickling, no cache shipment, bit-identical results (the GIL limits
-    speedup, but fork-hostile platforms and small sweeps avoid the
-    process-pool startup loss entirely); ``"inline"`` forces the
-    reference loop. ``"auto"`` (default) decides by a measured break-even
-    probe: below ``inline_below`` items it stays inline; otherwise it
-    times the first item inline, estimates the remaining work from it,
-    and picks the process pool (or, where ``fork`` is unavailable, the
-    thread pool) only when the parallel savings over
-    ``min(jobs, usable cores)`` outweigh the measured pool spin-up and
-    batch round-trip. A host with one usable core always stays inline.
-    """
-
-    jobs: "int | None" = None
-    batch_size: "int | None" = None
-    max_restarts: int = 2
-    inline_below: int = 4
-    #: Ship the parent's warm TIMING_CACHE / PROFILE_CACHE entries to
-    #: every worker at pool start-up (a pure warm-up; results never
-    #: depend on it).
-    ship_caches: bool = True
-    #: Shard executor: "auto" | "process" | "thread" | "inline".
-    mode: str = "auto"
-
-    def validate(self) -> None:
-        if self.mode not in PARALLEL_MODES:
-            raise ConfigurationError(
-                f"unknown parallel mode {self.mode!r} "
-                f"(choose from {', '.join(PARALLEL_MODES)})"
-            )
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.max_restarts < 0:
-            raise ConfigurationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.inline_below < 1:
-            raise ConfigurationError(
-                f"inline_below must be >= 1, got {self.inline_below}"
-            )
-
-
-#: Default dispatch parameters for sharded sweeps and profiling.
-DEFAULT_PARALLEL = ParallelConfig()
-
 
 @dataclass(frozen=True)
 class RMEConfig:

@@ -15,37 +15,36 @@ folds the results back together:
 * **Batched dispatch** — tasks are pickled to workers in contiguous
   batches (amortizing serialization), and each batch ships its results
   back together with the worker's cache-traffic delta.
-* **Persistent pools** — worker pools are keyed by ``(jobs,
-  ParallelConfig)`` and kept alive across :func:`parallel_map` calls, so
-  fork cost and warm-cache shipping are paid once per process instead of
-  once per sweep (the regression that made ``--jobs 2`` *lose* on small
-  hosts). A pool broken by a worker crash is discarded and rebuilt;
+* **Persistent pools** — worker pools are keyed by ``jobs`` and kept
+  alive across :func:`parallel_map` calls, so fork cost and warm-cache
+  shipping are paid once per process instead of once per sweep (the
+  regression that made ``--jobs 2`` *lose* on small hosts). A pool
+  broken by a worker crash is discarded and rebuilt;
   :func:`shutdown_pools` (registered via ``atexit``) reaps them at exit.
-* **Warm cache shipping** — the parent's :data:`repro.sim.fastpath
-  .TIMING_CACHE` and :data:`repro.serve.profiles.PROFILE_CACHE` entries
-  are exported once per pool and absorbed by every worker at start-up, so
-  workers skip the epoch-signature learning the parent already paid for.
-  Shipping is a pure warm-up: absorbed entries can only be *hits* for
-  keys the parent already resolved, never different values. (A
+* **Warm cache shipping** — the parent's warm
+  :class:`~repro.memo.Memo` entries (the epoch-timing and profile memos)
+  are exported once per pool and absorbed by every worker at start-up,
+  so workers skip the epoch-signature learning the parent already paid
+  for. Shipping is a pure warm-up: absorbed entries can only be *hits*
+  for keys the parent already resolved, never different values. (A
   persistent pool ships at creation; workers keep learning their own
   entries afterwards.)
-* **Measured break-even** — ``mode="auto"`` no longer compares the item
-  count against static thresholds. It times the first shard inline (the
-  reference loop body, so the result is merged bit-identically at index
-  0), estimates the remaining work, and compares the parallel *savings*
-  — ``work x (1 - 1/min(jobs, usable cores))`` — against the measured
-  dispatch overheads: pool spin-up (measured at first creation, zero
-  once a persistent pool exists) plus the pool's measured batch
-  round-trip. Hosts where ``min(jobs, cores) <= 1`` can never win, so
-  the dispatch stays inline — which is what makes ``--jobs 2`` on a
-  1-core runner cost the same as ``--jobs 1``.
+* **Measured break-even** — the one run-time choice between inline and
+  the pool. It times the first shard inline (the reference loop body,
+  so the result is merged bit-identically at index 0), estimates the
+  remaining work, and compares the parallel *savings* — ``work x (1 -
+  1/min(jobs, usable cores))`` — against the measured dispatch
+  overheads: pool spin-up (measured at first creation, zero once a
+  persistent pool exists) plus the pool's measured batch round-trip.
+  Hosts where ``min(jobs, cores) <= 1`` can never win, so the dispatch
+  stays inline — which is what makes ``--jobs 2`` on a 1-core runner
+  cost the same as ``--jobs 1``. Where ``fork`` is missing the pool
+  spawns its workers instead, and the probe prices it the same way.
 * **Budgeted worker-restart** — a crashed worker (OOM-killed, signalled)
   surfaces as ``BrokenProcessPool``; the pool is rebuilt and the lost
-  batches resubmitted under the same budgeted-restart stance as
-  :class:`repro.faults.RecoveryPolicy` (``max_retries`` = pool rebuilds),
-  falling back to inline execution when the budget is spent. Ordinary
-  task exceptions propagate immediately — they are deterministic and
-  retrying cannot help.
+  batches resubmitted at most :data:`_MAX_RESTARTS` times, then the
+  surviving batches run inline. Ordinary task exceptions propagate
+  immediately — they are deterministic and retrying cannot help.
 
 Merging of telemetry rides on the instrument algebra added for this
 layer: ``Counter``/``Gauge``/``Histogram``/``StatSet`` ``merge()`` and
@@ -59,17 +58,10 @@ import atexit
 import multiprocessing
 import time
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .config import DEFAULT_PARALLEL, PARALLEL_MODES, ParallelConfig
-from .faults import DEFAULT_RECOVERY, RecoveryPolicy
 from .sim.stats import StatSet
 
 T = TypeVar("T")
@@ -78,6 +70,16 @@ R = TypeVar("R")
 #: Set in worker processes by the pool initializer: nested parallel_map
 #: calls inside a worker always run inline instead of forking grandchildren.
 _IN_WORKER = False
+
+#: With fewer items than this a multi-job dispatch runs inline without
+#: even probing: pool spin-up dominates tiny sweeps (the wall-clock
+#: benchmark measured 0.97x at two items).
+_INLINE_BELOW = 4
+#: Batches per worker: small batches keep heterogeneous shards
+#: load-balanced without pickling per task.
+_BATCHES_PER_WORKER = 4
+#: Pool rebuilds after worker crashes before the rest runs inline.
+_MAX_RESTARTS = 2
 
 #: Cumulative cache traffic that happened inside worker processes. The
 #: parent's own ``TIMING_CACHE``/``PROFILE_CACHE`` counters never see
@@ -115,35 +117,26 @@ def derive_seed(base: int, *parts) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _shipped_memos():
+    """``(name, memo)`` for every memo shipped to workers; the name
+    prefixes its traffic counters (``timing_hits``, ``profile_misses``)."""
+    from .serve.profiles import PROFILE_CACHE
+    from .sim.fastpath import TIMING_CACHE
+
+    return (("timing", TIMING_CACHE), ("profile", PROFILE_CACHE))
+
+
 def _export_caches() -> Dict[str, list]:
     """The parent's warm memo entries, ready to pickle to workers."""
-    from .serve.profiles import PROFILE_CACHE
-    from .sim.fastpath import TIMING_CACHE
-
-    return {
-        "timing": TIMING_CACHE.export_entries(),
-        "profiles": PROFILE_CACHE.export_entries(),
-    }
+    return {name: memo.export_entries() for name, memo in _shipped_memos()}
 
 
-def _cache_counts() -> Tuple[int, int, int, int]:
-    from .serve.profiles import PROFILE_CACHE
-    from .sim.fastpath import TIMING_CACHE
-
-    return (TIMING_CACHE.hits, TIMING_CACHE.misses,
-            PROFILE_CACHE.hits, PROFILE_CACHE.misses)
-
-
-def _worker_init(shipment: Optional[Dict[str, list]]) -> None:
+def _worker_init(shipment: Dict[str, list]) -> None:
     """Pool initializer: mark the process as a worker and warm its caches."""
     global _IN_WORKER
     _IN_WORKER = True
-    if shipment:
-        from .serve.profiles import PROFILE_CACHE
-        from .sim.fastpath import TIMING_CACHE
-
-        TIMING_CACHE.absorb(shipment.get("timing", []))
-        PROFILE_CACHE.absorb(shipment.get("profiles", []))
+    for name, memo in _shipped_memos():
+        memo.absorb(shipment[name])
 
 
 def _execute_batch(fn: Callable[[T], R], items: Sequence[T]) -> Tuple[List[R], Dict[str, int]]:
@@ -153,15 +146,14 @@ def _execute_batch(fn: Callable[[T], R], items: Sequence[T]) -> Tuple[List[R], D
     body *is* the determinism argument: there is no parallel-only code
     path around the task function.
     """
-    before = _cache_counts()
+    memos = _shipped_memos()
+    before = [memo.snapshot() for _name, memo in memos]
     results = [fn(item) for item in items]
-    after = _cache_counts()
-    delta = {
-        "timing_hits": after[0] - before[0],
-        "timing_misses": after[1] - before[1],
-        "profile_hits": after[2] - before[2],
-        "profile_misses": after[3] - before[3],
-    }
+    delta = {}
+    for (name, memo), snapshot in zip(memos, before):
+        hits, misses = memo.delta_since(snapshot)
+        delta[f"{name}_hits"] = hits
+        delta[f"{name}_misses"] = misses
     return results, delta
 
 
@@ -174,13 +166,10 @@ def _record_delta(stats: StatSet, delta: Dict[str, int]) -> None:
         stats.bump("timing_lookups", lookups)
 
 
-def _make_batches(
-    n_items: int, jobs: int, batch_size: Optional[int]
-) -> List[range]:
-    """Contiguous index batches. Small batches (about four per worker)
-    keep heterogeneous shards load-balanced without pickling per-task."""
-    if batch_size is None:
-        batch_size = max(1, -(-n_items // (jobs * 4)))
+def _make_batches(n_items: int, jobs: int) -> List[range]:
+    """Contiguous index batches, about :data:`_BATCHES_PER_WORKER` per
+    worker."""
+    batch_size = max(1, -(-n_items // (jobs * _BATCHES_PER_WORKER)))
     return [range(lo, min(lo + batch_size, n_items))
             for lo in range(0, n_items, batch_size)]
 
@@ -196,27 +185,17 @@ def _mp_context():
     )
 
 
-def _run_batch_plain(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """The thread-pool batch body: the reference loop, nothing else.
-
-    Per-batch cache deltas are meaningless across concurrent threads
-    (their before/after windows overlap), so the thread path measures one
-    whole-dispatch delta in the caller instead.
-    """
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # persistent pools + the measured break-even probe
 # ---------------------------------------------------------------------------
 
-#: Live worker pools, keyed by ``(n_jobs, ParallelConfig)``. A pool
-#: outlives the parallel_map call that created it, so fork cost and cache
-#: shipping amortize across a whole benchmark run.
-_POOLS: Dict[tuple, ProcessPoolExecutor] = {}
+#: Live worker pools, keyed by ``n_jobs``. A pool outlives the
+#: parallel_map call that created it, so fork cost and cache shipping
+#: amortize across a whole benchmark run.
+_POOLS: Dict[int, ProcessPoolExecutor] = {}
 #: Measured per-pool costs: ``spinup_s`` (creation + first round-trip)
 #: and ``roundtrip_s`` (one no-op batch through a warm pool).
-_POOL_META: Dict[tuple, Dict[str, float]] = {}
+_POOL_META: Dict[int, Dict[str, float]] = {}
 
 #: Break-even priors, used only until a real measurement replaces them:
 #: forking a pool of an already-large parent typically costs a few
@@ -228,10 +207,6 @@ _ROUNDTRIP_PRIOR_S = 0.01
 #: timing is a single noisy sample).
 _PROBE_MARGIN = 2.0
 
-#: Memoized thread-dispatch overhead (one no-op ThreadPoolExecutor
-#: round-trip), measured on first use.
-_THREAD_OVERHEAD_S: Optional[float] = None
-
 
 def _probe_echo(x):
     """The no-op task used to measure pool round-trip latency."""
@@ -242,25 +217,16 @@ def _usable_cores() -> int:
     return multiprocessing.cpu_count() or 1
 
 
-def _thread_overhead_s() -> float:
-    global _THREAD_OVERHEAD_S
-    if _THREAD_OVERHEAD_S is None:
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(_probe_echo, None).result()
-        _THREAD_OVERHEAD_S = time.perf_counter() - start
-    return _THREAD_OVERHEAD_S
-
-
-def _process_overhead_s(key: tuple) -> Tuple[float, float]:
-    """``(spin-up still to pay, per-batch round-trip)`` for ``key``'s pool.
+def _process_overhead_s(n_jobs: int) -> Tuple[float, float]:
+    """``(spin-up still to pay, per-batch round-trip)`` for the
+    ``n_jobs`` pool.
 
     Zero spin-up once the persistent pool exists; before the first pool
     of this process is forked, the spin-up estimate is the prior (every
     later estimate is the worst measured spin-up, which tracks parent
     size growth).
     """
-    meta = _POOL_META.get(key)
+    meta = _POOL_META.get(n_jobs)
     if meta is not None:
         return 0.0, meta["roundtrip_s"]
     spinups = [m["spinup_s"] for m in _POOL_META.values()]
@@ -271,12 +237,12 @@ def _process_overhead_s(key: tuple) -> Tuple[float, float]:
     )
 
 
-def _get_pool(key: tuple, n_jobs: int, cfg: ParallelConfig) -> ProcessPoolExecutor:
-    """The persistent pool for ``key``, created (and measured) on demand."""
-    pool = _POOLS.get(key)
+def _get_pool(n_jobs: int) -> ProcessPoolExecutor:
+    """The persistent ``n_jobs`` pool, created (and measured) on demand."""
+    pool = _POOLS.get(n_jobs)
     if pool is not None:
         return pool
-    shipment = _export_caches() if cfg.ship_caches else None
+    shipment = _export_caches()
     start = time.perf_counter()
     pool = ProcessPoolExecutor(
         max_workers=n_jobs,
@@ -289,17 +255,17 @@ def _get_pool(key: tuple, n_jobs: int, cfg: ParallelConfig) -> ProcessPoolExecut
     mid = time.perf_counter()
     pool.submit(_probe_echo, None).result()
     end = time.perf_counter()
-    _POOLS[key] = pool
-    _POOL_META[key] = {
+    _POOLS[n_jobs] = pool
+    _POOL_META[n_jobs] = {
         "spinup_s": end - start,
         "roundtrip_s": max(end - mid, 1e-6),
     }
     return pool
 
 
-def _discard_pool(key: tuple) -> None:
-    pool = _POOLS.pop(key, None)
-    _POOL_META.pop(key, None)
+def _discard_pool(n_jobs: int) -> None:
+    pool = _POOLS.pop(n_jobs, None)
+    _POOL_META.pop(n_jobs, None)
     if pool is not None:
         try:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -310,35 +276,17 @@ def _discard_pool(key: tuple) -> None:
 def shutdown_pools() -> int:
     """Shut down every persistent worker pool; returns how many."""
     n = len(_POOLS)
-    for key in list(_POOLS):
-        _discard_pool(key)
+    for n_jobs in list(_POOLS):
+        _discard_pool(n_jobs)
     return n
 
 
 atexit.register(shutdown_pools)
 
 
-def _static_gate(requested: str, n_items: int, n_jobs: int,
-                 cfg: ParallelConfig, stats: StatSet) -> str:
-    """Dispatch decisions that need no measurement.
-
-    Returns an executor name, or ``"auto"`` when the measured break-even
-    probe should decide.
-    """
-    if _IN_WORKER or n_jobs <= 1 or n_items <= 1:
-        return "inline"
-    if requested != "auto":
-        return requested
-    if n_items < cfg.inline_below:
-        # Too small for the probe itself to be worth a timing sample.
-        stats.bump("parallel_inline_fallback")
-        return "inline"
-    return "auto"
-
-
-def _probe_mode(rest_work_s: float, n_jobs: int, key: tuple,
-                stats: StatSet) -> str:
-    """Resolve ``auto`` from measured overheads and the sampled work.
+def _probe_mode(rest_work_s: float, n_jobs: int, stats: StatSet) -> str:
+    """``"process"`` or ``"inline"``, from measured overheads and the
+    sampled work.
 
     ``rest_work_s`` is the estimated inline cost of the still-unexecuted
     shards (first-shard time x count). The parallel *savings* bound is
@@ -348,18 +296,11 @@ def _probe_mode(rest_work_s: float, n_jobs: int, key: tuple,
     ``effective <= 1`` cannot win no matter the overheads.
     """
     effective = min(n_jobs, _usable_cores())
-    if effective <= 1:
-        stats.bump("probe_inline")
-        return "inline"
-    savings = rest_work_s * (1.0 - 1.0 / effective)
-    if _fork_available():
-        spinup, roundtrip = _process_overhead_s(key)
+    if effective > 1:
+        savings = rest_work_s * (1.0 - 1.0 / effective)
+        spinup, roundtrip = _process_overhead_s(n_jobs)
         if savings > (spinup + roundtrip) * _PROBE_MARGIN:
             return "process"
-    elif savings > _thread_overhead_s() * _PROBE_MARGIN:
-        # No fork on this platform: threads at least overlap any
-        # releases of the GIL, and avoid the spawn re-import storm.
-        return "thread"
     stats.bump("probe_inline")
     return "inline"
 
@@ -373,11 +314,7 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     jobs: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    config: Optional[ParallelConfig] = None,
-    recovery: Optional[RecoveryPolicy] = None,
     stats: Optional[StatSet] = None,
-    mode: Optional[str] = None,
 ) -> List[R]:
     """``[fn(x) for x in items]``, sharded across ``jobs`` processes.
 
@@ -389,60 +326,44 @@ def parallel_map(
 
     ``fn`` must be picklable (a module-level function or a
     ``functools.partial`` of one) and so must the items and results.
-    Worker crashes are retried by discarding and rebuilding the
-    persistent pool at most ``recovery.max_retries`` times (default: the
-    :data:`~repro.faults.DEFAULT_RECOVERY` budget, capped by
-    ``config.max_restarts``); when the budget is spent the surviving
+    Sweeps of at least :data:`_INLINE_BELOW` items time the first shard
+    inline and hand the rest to the persistent pool only when the
+    measured break-even says it pays (see :func:`_probe_mode`). Worker
+    crashes are retried by discarding and rebuilding the pool at most
+    :data:`_MAX_RESTARTS` times; when the budget is spent the surviving
     batches run inline rather than failing the sweep. Task exceptions
     propagate unchanged on first occurrence.
 
     ``stats`` (optional) receives dispatch telemetry: task/batch counts,
     worker restarts, inline fallbacks, the chosen executor
-    (``mode_inline``/``mode_thread``/``mode_process``) and the workers'
-    cache-traffic deltas (``timing_hits``/``timing_lookups``/...).
-
-    ``mode`` (or ``config.mode``) picks the executor: ``"process"`` is
-    the persistent fork pool, ``"thread"`` a thread pool over the same
-    batch body (bit-identical results, no fork, no cache shipment — the
-    fork-hostile-platform path), ``"inline"`` the reference loop, and
-    ``"auto"`` decides by the measured break-even: it times the first
-    shard inline, then compares the projected parallel savings of the
-    rest against the measured pool spin-up and round-trip overheads
-    (see :func:`_probe_mode`).
+    (``mode_inline``/``mode_process``) and the workers' cache-traffic
+    deltas (``timing_hits``/``timing_lookups``/...).
     """
-    cfg = config or DEFAULT_PARALLEL
-    cfg.validate()
-    policy = recovery or DEFAULT_RECOVERY
     if stats is None:
         stats = StatSet("parallel")  # recorded, then discarded
-    requested = mode if mode is not None else cfg.mode
-    if requested not in PARALLEL_MODES:
-        from .errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown parallel mode {requested!r} "
-            f"(choose from {', '.join(PARALLEL_MODES)})"
-        )
     items = list(items)
-    n_jobs = resolve_jobs(jobs if jobs is not None else cfg.jobs)
-    pool_key = (n_jobs, cfg)
+    n_jobs = resolve_jobs(jobs)
     stats.set_gauge("jobs", n_jobs)
     if items:
         stats.bump("tasks", len(items))
 
-    chosen = _static_gate(requested, len(items), n_jobs, cfg, stats)
+    chosen = "inline"
     prefix: List[R] = []
-    if chosen == "auto":
+    if _IN_WORKER or n_jobs <= 1 or len(items) <= 1:
+        pass
+    elif len(items) < _INLINE_BELOW:
+        # Too small for the probe itself to be worth a timing sample.
+        stats.bump("parallel_inline_fallback")
+    else:
         # The probe: run the first shard inline and time it. This is the
         # reference loop body, so the result merges bit-identically at
-        # index 0 whatever executor handles the rest.
+        # index 0 whatever handles the rest.
         start = time.perf_counter()
         prefix, delta = _execute_batch(fn, items[:1])
         item_s = time.perf_counter() - start
         _record_delta(stats, delta)
         stats.bump("batches")
-        chosen = _probe_mode(item_s * (len(items) - 1), n_jobs, pool_key,
-                             stats)
+        chosen = _probe_mode(item_s * (len(items) - 1), n_jobs, stats)
         items = items[1:]
     stats.bump("mode_" + chosen)
     if chosen == "inline":
@@ -451,41 +372,13 @@ def parallel_map(
         stats.bump("batches")
         return prefix + results
 
-    batches = _make_batches(len(items), n_jobs, batch_size or cfg.batch_size)
-    if chosen == "thread":
-        # Threads share the parent's caches (traffic lands in the
-        # parent's own counters), so the delta is measured once around
-        # the whole dispatch — per-batch windows would overlap.
-        before = _cache_counts()
-        results: List[Optional[R]] = [None] * len(items)
-        with ThreadPoolExecutor(
-            max_workers=min(n_jobs, len(batches))
-        ) as pool:
-            futures = [
-                (span, pool.submit(_run_batch_plain, fn,
-                                   [items[i] for i in span]))
-                for span in batches
-            ]
-            for span, future in futures:
-                for index, value in zip(span, future.result()):
-                    results[index] = value
-                stats.bump("batches")
-        after = _cache_counts()
-        _record_delta(stats, {
-            "timing_hits": after[0] - before[0],
-            "timing_misses": after[1] - before[1],
-            "profile_hits": after[2] - before[2],
-            "profile_misses": after[3] - before[3],
-        })
-        return prefix + results  # type: ignore[operator]
     results: List[Optional[R]] = [None] * len(items)
-    pending: List[range] = list(batches)
-    restarts_left = min(cfg.max_restarts, policy.max_retries) \
-        if policy.enabled else 0
+    pending: List[range] = _make_batches(len(items), n_jobs)
+    restarts_left = _MAX_RESTARTS
 
     while pending:
         try:
-            pool = _get_pool(pool_key, n_jobs, cfg)
+            pool = _get_pool(n_jobs)
             futures = {
                 pool.submit(_execute_batch, fn, [items[i] for i in span]):
                 span
@@ -507,9 +400,8 @@ def parallel_map(
         except BrokenProcessPool:
             # A worker died mid-batch (OOM kill, stray signal). Discard
             # the broken pool, rebuild, and resubmit whatever is still
-            # pending, on the same budgeted-restart stance as the
-            # fault-recovery layer.
-            _discard_pool(pool_key)
+            # pending, within the restart budget.
+            _discard_pool(n_jobs)
             if restarts_left > 0:
                 restarts_left -= 1
                 stats.bump("worker_restarts")
@@ -530,7 +422,6 @@ def parallel_map(
 
 
 __all__ = [
-    "ParallelConfig",
     "derive_seed",
     "parallel_map",
     "resolve_jobs",

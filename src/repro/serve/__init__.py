@@ -22,7 +22,6 @@ See ``docs/serving.md`` for the model and a worked example, and
 from .profiles import (
     PROFILE_CACHE,
     PROFILE_CACHE_STATS,
-    ProfileCache,
     QueryProfile,
     WorkloadProfile,
     port_program_ns,
@@ -59,7 +58,6 @@ __all__ = [
     "PROFILE_CACHE",
     "PROFILE_CACHE_STATS",
     "Port",
-    "ProfileCache",
     "QueryProfile",
     "Request",
     "SchedulerPolicy",

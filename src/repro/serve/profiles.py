@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import PlatformConfig, ZCU102
 from ..core.relmem import RelationalMemorySystem
 from ..errors import ConfigurationError
+from ..memo import Memo
 from ..query.engines import CPU as CPU_ENGINE, RME as RME_ENGINE
 from ..query.processor import Processor
 from ..rme.designs import MLP, DesignParams
@@ -116,96 +117,22 @@ class WorkloadProfile:
         return 1e9 / self.mean_cold_service_ns
 
 
-class ProfileCache:
-    """A bounded FIFO memo of :class:`WorkloadProfile` results.
-
-    Profiling a workload runs every (tenant, template) pair through the
-    cycle-level executor three times; for the serving CLI and the chaos
-    sweeps that cost dominates start-up. Keys are *content*
-    fingerprints — platform, design, buffer capacity, and per tenant the
-    CRC of the raw table bytes, the schema layout, and every template's
-    query text — so a stale hit would require a collision, not a missed
-    invalidation. Tenant weights are deliberately excluded: they shape
-    the arrival mix, not the measured service costs, so a cached result
-    is re-wrapped with the caller's tenants.
-
-    Hit/miss traffic is mirrored into :data:`PROFILE_CACHE_STATS`, whose
-    ``hit_rate`` gauge is the externally visible health signal (surfaced
-    by ``repro serve`` / ``repro chaos``).
-    """
-
-    def __init__(self, max_entries: int = 16):
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, WorkloadProfile] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Optional[WorkloadProfile]:
-        profile = self._entries.get(key)
-        if profile is None:
-            self.misses += 1
-            PROFILE_CACHE_STATS.bump("misses")
-        else:
-            self.hits += 1
-            PROFILE_CACHE_STATS.bump("hits")
-        PROFILE_CACHE_STATS.set_gauge("hit_rate", self.hit_rate)
-        return profile
-
-    def put(self, key: tuple, profile: WorkloadProfile) -> None:
-        if len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = profile
-
-    def invalidate(self, reason: str = "") -> int:
-        """Drop every entry; returns how many were dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        return dropped
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> Tuple[int, int]:
-        """The lifetime ``(hits, misses)`` pair at this instant.
-
-        Callers that want *per-run* rates snapshot before the run and
-        diff after — the counters themselves are process-lifetime.
-        """
-        return (self.hits, self.misses)
-
-    def delta_since(self, snapshot: Tuple[int, int]) -> Tuple[int, int]:
-        """``(hits, misses)`` accumulated since :meth:`snapshot`."""
-        hits0, misses0 = snapshot
-        return (self.hits - hits0, self.misses - misses0)
-
-    def export_entries(self) -> list:
-        """Every ``(key, profile)`` pair, for shipping to workers."""
-        return list(self._entries.items())
-
-    def absorb(self, entries: list) -> int:
-        """Install exported entries (existing keys win); returns how many
-        were new. Counters are untouched — absorbed entries are warm-up,
-        not traffic."""
-        added = 0
-        for key, profile in entries:
-            if key not in self._entries:
-                if len(self._entries) >= self.max_entries:
-                    self._entries.pop(next(iter(self._entries)))
-                self._entries[key] = profile
-                added += 1
-        return added
-
-
-#: Shared counters plus the ``hit_rate`` gauge for the profile memo.
+#: Shared counters plus the ``hit_rate`` gauge for the profile memo: the
+#: externally visible health signal surfaced by ``repro serve`` /
+#: ``repro chaos``.
 PROFILE_CACHE_STATS = StatSet("profile_cache")
 
-#: The process-wide memo consulted by :func:`profile_workload`.
-PROFILE_CACHE = ProfileCache()
+#: The process-wide memo consulted by :func:`profile_workload`. Profiling
+#: runs every (tenant, template) pair through the cycle-level executor
+#: three times; for the serving CLI and the chaos sweeps that cost
+#: dominates start-up. Keys are *content* fingerprints (platform, design,
+#: buffer capacity, and per tenant the CRC of the raw table bytes, the
+#: schema layout and every template's query text), so a stale hit would
+#: require a collision, not a missed invalidation. Tenant weights are
+#: deliberately excluded: they shape the arrival mix, not the measured
+#: service costs, so a cached result is re-wrapped with the caller's
+#: tenants.
+PROFILE_CACHE = Memo(16, stats=PROFILE_CACHE_STATS)
 
 
 def _tenant_fingerprint(spec: TenantSpec) -> tuple:

@@ -206,6 +206,12 @@ class ServingTier:
                 f"policy {policy!r} models the single configuration port; "
                 "use multi-port for n_ports > 1"
             )
+        if queue_depth < 1:
+            raise ConfigurationError(
+                f"queue depth must be >= 1, got {queue_depth}"
+            )
+        if policy == "ctx-switch" and quantum < 1:
+            raise ConfigurationError(f"quantum must be >= 1, got {quantum}")
         if isinstance(workload_profile, WorkloadProfile):
             self.profile = workload_profile
         else:

@@ -58,6 +58,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
+from ..memo import Memo
 from .vector import bulk_add, bulk_add_repeated, bulk_observe
 
 #: Epoch replay modes (mirrors the engine's eligibility analysis).
@@ -133,78 +134,15 @@ class EpochTiming:
         self.pipeline_end = 0.0
 
 
-class TimingCache:
-    """A bounded FIFO memo of :class:`EpochTiming` records.
-
-    Keys embed the complete start state (platform, design, geometry, row
-    window, activation time, DRAM/port reservations), so a stale hit is
-    impossible by construction; :meth:`invalidate` exists for the events
-    that change simulation *behaviour* wholesale — arming a fault
-    injector or attaching a tracer — after which previously learned
-    signatures describe a machine that no longer exists.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, EpochTiming] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def get(self, key: tuple) -> Optional[EpochTiming]:
-        timing = self._entries.get(key)
-        if timing is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return timing
-
-    def put(self, key: tuple, timing: EpochTiming) -> None:
-        if len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = timing
-
-    def invalidate(self, reason: str = "") -> int:
-        """Drop every entry; returns how many were dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        if dropped:
-            self.invalidations += 1
-        return dropped
-
-    def export_entries(self) -> list:
-        """Every ``(key, timing)`` pair, for shipping to worker processes.
-
-        Keys and :class:`EpochTiming` records are built from primitives,
-        so the export pickles; a worker that absorbs it starts with the
-        parent's learned epoch signatures instead of re-deriving them.
-        """
-        return list(self._entries.items())
-
-    def absorb(self, entries: list) -> int:
-        """Install exported entries (existing keys win); returns how many
-        were new. Hit/miss counters are untouched — absorbed entries are
-        warm-up, not traffic."""
-        added = 0
-        for key, timing in entries:
-            if key not in self._entries:
-                if len(self._entries) >= self.max_entries:
-                    self._entries.pop(next(iter(self._entries)))
-                self._entries[key] = timing
-                added += 1
-        return added
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
-#: The process-wide signature memo shared by every system instance.
-TIMING_CACHE = TimingCache()
+#: The process-wide signature memo shared by every system instance. Keys
+#: embed the complete start state (platform, design, geometry, row
+#: window, activation time, DRAM/port reservations), so a stale hit is
+#: impossible by construction; ``invalidate`` exists for the events that
+#: change simulation *behaviour* wholesale (arming a fault injector or
+#: attaching a tracer), after which previously learned signatures
+#: describe a machine that no longer exists. Keys and records are built
+#: from primitives, so ``export_entries`` pickles to worker processes.
+TIMING_CACHE = Memo(256)
 
 #: Process-wide tally of fallback reasons (reason -> count) across every
 #: engine instance, fed by :meth:`RMEngine._start_current_window`;

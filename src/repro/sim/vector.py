@@ -252,28 +252,3 @@ def comparator_bits(blob: bytes, n_rows: int, row_size: int, offset: int,
     packed = np.packbits(mask, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
-
-def bitmap_and(a: bytearray, b) -> None:
-    """In-place bitwise AND of two equal-length byte bitmaps."""
-    np = numpy_or_none()
-    if np is not None and len(a) >= 64:
-        arr = np.frombuffer(bytes(a), dtype=np.uint8) & np.frombuffer(
-            bytes(b), dtype=np.uint8
-        )
-        a[:] = arr.tobytes()
-        return
-    for i in range(len(a)):
-        a[i] &= b[i]
-
-
-def bitmap_or(a: bytearray, b) -> None:
-    """In-place bitwise OR of two equal-length byte bitmaps."""
-    np = numpy_or_none()
-    if np is not None and len(a) >= 64:
-        arr = np.frombuffer(bytes(a), dtype=np.uint8) | np.frombuffer(
-            bytes(b), dtype=np.uint8
-        )
-        a[:] = arr.tobytes()
-        return
-    for i in range(len(a)):
-        a[i] |= b[i]

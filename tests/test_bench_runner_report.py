@@ -46,27 +46,28 @@ def test_baseline_memo_replays_only_under_fastpath(small_table):
     from repro.bench import runner as runner_mod
     from repro.config import ZCU102
 
-    runner_mod._BASELINE_MEMO.clear()
-    before = dict(runner_mod.BASELINE_MEMO_TALLY)
+    runner_mod.BASELINE_MEMO.invalidate("test isolation")
+    before = runner_mod.BASELINE_MEMO.snapshot()
 
     cycle = ExperimentRunner(platform=ZCU102, designs=(MLP,))
     first = cycle.time_direct(small_table, q1())
     second = cycle.time_direct(small_table, q1())
     # Cycle-level runs never replay (no tally movement), but both record.
-    assert runner_mod.BASELINE_MEMO_TALLY == before
+    assert runner_mod.BASELINE_MEMO.snapshot() == before
+    assert len(runner_mod.BASELINE_MEMO) == 1
     assert second.elapsed_ns == first.elapsed_ns
 
     fast = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=True), designs=(MLP,)
     )
     replayed = fast.time_direct(small_table, q1())
-    assert runner_mod.BASELINE_MEMO_TALLY["hits"] == before["hits"] + 1
+    assert runner_mod.BASELINE_MEMO.delta_since(before) == (1, 0)
     assert replayed.elapsed_ns == first.elapsed_ns
     assert replayed.value == first.value
 
     # A different query is a different key: recorded fresh, not replayed.
     other = fast.time_columnar(small_table, q1())
-    assert runner_mod.BASELINE_MEMO_TALLY["misses"] == before["misses"] + 1
+    assert runner_mod.BASELINE_MEMO.delta_since(before) == (1, 1)
     assert other.elapsed_ns > 0
 
     # Mutating a replayed result must not poison later replays.
@@ -97,9 +98,9 @@ def test_baseline_memo_keys_on_the_whole_query():
     assert some.value and none.value == []
     assert fast.time_columnar(table, adhoc(10**9)).value == []
     # A rebuilt but identical template still replays.
-    hits = runner_mod.BASELINE_MEMO_TALLY["hits"]
+    hits = runner_mod.BASELINE_MEMO.hits
     assert fast.time_direct(table, adhoc(0)).value == some.value
-    assert runner_mod.BASELINE_MEMO_TALLY["hits"] == hits + 1
+    assert runner_mod.BASELINE_MEMO.hits == hits + 1
 
 
 def test_figure_result_normalization():

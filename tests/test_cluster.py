@@ -137,6 +137,10 @@ def test_cluster_validates_inputs(profile):
         ClusterSystem(prof, policy="multi-port", n_ports=0)
     with pytest.raises(ConfigurationError, match="single configuration port"):
         ClusterSystem(prof, policy="fcfs", n_ports=2)
+    with pytest.raises(ConfigurationError, match="queue depth must be >= 1"):
+        ClusterSystem(prof, n_nodes=1, replication=1, queue_depth=0)
+    with pytest.raises(ConfigurationError, match="quantum must be >= 1"):
+        ClusterSystem(prof, policy="ctx-switch", quantum=0)
     with pytest.raises(ConfigurationError, match="node-level kinds"):
         ClusterSystem(prof, fault_plan=FaultPlan(
             events=(FaultEvent(kind="dram_bitflip", at_ns=0.0),)

@@ -1,4 +1,4 @@
-"""The serving-layer profile memo: ``repro.serve.profiles.ProfileCache``.
+"""The serving-layer profile memo: ``repro.serve.profiles.PROFILE_CACHE``.
 
 Profiling a workload is the expensive, cycle-accurate part of serving
 start-up, so ``profile_workload`` memoizes whole results under a content
@@ -13,13 +13,13 @@ import dataclasses
 import pytest
 
 from repro.config import ZCU102
+from repro.memo import Memo
 from repro.query.queries import q1, q4
 from repro.rme.designs import BSL
 from repro.serve import (
     PROFILE_CACHE,
     PROFILE_CACHE_STATS,
     OpenLoopWorkload,
-    ProfileCache,
     ServingSystem,
     TenantSpec,
     default_tenants,
@@ -136,7 +136,7 @@ def test_hit_rate_gauge_is_per_run_not_lifetime():
 
 
 def test_cache_bounded_fifo():
-    cache = ProfileCache(max_entries=3)
+    cache = Memo(max_entries=3)
     for i in range(8):
         cache.put(("key", i), object())
     assert len(cache) == 3

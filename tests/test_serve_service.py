@@ -164,6 +164,16 @@ def test_serving_system_validation(specs, profile):
         ServingSystem(profile, policy="multi-port", n_ports=0)
 
 
+def test_serving_system_rejects_bad_queue_depth_and_quantum(profile):
+    # Checked at construction, not first inside run().
+    with pytest.raises(ConfigurationError, match="queue depth must be >= 1"):
+        ServingSystem(profile, queue_depth=0)
+    with pytest.raises(ConfigurationError, match="quantum must be >= 1"):
+        ServingSystem(profile, policy="ctx-switch", quantum=0)
+    # The quantum only drives the ctx-switch policy.
+    ServingSystem(profile, policy="fcfs", quantum=0)
+
+
 def test_workload_must_match_profile(specs):
     narrow = profile_workload(specs[:1])
     with pytest.raises(ConfigurationError):
